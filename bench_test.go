@@ -165,10 +165,11 @@ func experimentsEval(b *testing.B, archName string) (pipeline.Result, error) {
 	return pipeline.Evaluate(w, spec, pipeline.TransFusion(), benchOpts())
 }
 
-// Parallel search engine: the speculative tile search and the DPipe
-// candidate pool at increasing worker counts. The searched result is
-// bit-identical at every setting; only the wall-clock changes (see
-// BENCH_parallel.json for recorded serial-vs-parallel numbers).
+// Parallel search: the serial tile search over an objective whose sub-layer
+// scheduling and DPipe candidate pool fan out over increasing worker counts,
+// and the DPipe pool alone. The searched result is bit-identical at every
+// setting; only the wall-clock changes (see BENCH_parallel.json for recorded
+// serial-vs-parallel numbers).
 
 func BenchmarkSearchParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -187,17 +188,16 @@ func BenchmarkSearchParallelEdge(b *testing.B) {
 }
 
 // benchSearchParallel drives SearchWithOptions with the same expensive
-// objective the pipeline uses — a full per-tile evaluation — on the default
-// Llama3-64K workload.
+// objective the pipeline uses — a full per-tile evaluation at the given
+// Parallelism — on the default Llama3-64K workload.
 func benchSearchParallel(b *testing.B, spec arch.Spec, workers int) {
 	b.Helper()
 	w := pipeline.Workload{Model: model.Llama3(), SeqLen: model.SeqLength64K, Batch: model.EvalBatch}
 	space := tileseek.DefaultSpace(w, spec)
-	serial := benchOpts()
-	serial.Parallelism = 1
-	serial.DPipe.Parallelism = 1
+	inner := benchOpts()
+	inner.Parallelism = workers
 	objective := func(c tiling.Config) (float64, bool) {
-		r, err := pipeline.EvaluateWithTile(w, spec, pipeline.TransFusion(), c, serial)
+		r, err := pipeline.EvaluateWithTile(w, spec, pipeline.TransFusion(), c, inner)
 		if err != nil {
 			return 0, false
 		}
@@ -206,7 +206,7 @@ func benchSearchParallel(b *testing.B, spec arch.Spec, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := tileseek.SearchWithOptions(context.Background(), space, objective, tileseek.Options{
-			Iterations: 64, Seed: 1, Parallelism: workers,
+			Iterations: 64, Seed: 1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -236,7 +236,7 @@ func BenchmarkPlanParallel(b *testing.B) {
 
 // Warm-started search: cold vs warm evaluations of the same workload, with
 // the hint taken from the neighbouring (half) seq_len's winning plan. The
-// headline metric is evals/op — tileseek.spec_evals + dpipe.dp_cells, the
+// headline metric is evals/op — tileseek.cache_misses + dpipe.dp_cells, the
 // host-independent objective-evaluation count — reported next to ns/op.
 
 func BenchmarkSearchWarm(b *testing.B) {
@@ -266,7 +266,7 @@ func BenchmarkSearchWarm(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			evals := reg.Counter("tileseek.spec_evals").Value() + reg.Counter("dpipe.dp_cells").Value()
+			evals := reg.Counter("tileseek.cache_misses").Value() + reg.Counter("dpipe.dp_cells").Value()
 			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 		})
 	}

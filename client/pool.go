@@ -43,7 +43,7 @@ func (p *Pool) For(baseURL string) *Client {
 	}
 	opts := p.opts
 	// Derive a per-endpoint jitter seed: deterministic given the pool seed,
-	// distinct per endpoint (splitmix64 of the FNV-1a of the URL).
+	// distinct per endpoint (the SplitMix64 finalizer of the FNV-1a of the URL).
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])

@@ -17,7 +17,7 @@
 // single nil-check — no allocation, no interface boxing, no time lookup — so
 // the hooks can live permanently on hot paths (guarded by an AllocsPerRun
 // test). All schedules are deterministic for a fixed seed: "probability"
-// decisions hash (seed, site, hit-ordinal) through splitmix64 rather than
+// decisions hash (seed, site, hit-ordinal) through SplitMix64 rather than
 // consulting a global RNG, so a failing chaos run replays exactly.
 package chaos
 
@@ -45,8 +45,7 @@ const (
 	// the singleflight closure (a panic here exercises the joiner-error
 	// path; latency models a stuck evaluation for the watchdog).
 	SiteServeCacheLeader = "serve.cache.leader"
-	// SiteTileseekRollout fires once per MCTS rollout on the master
-	// trajectory.
+	// SiteTileseekRollout fires once per MCTS rollout.
 	SiteTileseekRollout = "tileseek.rollout"
 	// SiteDPipeCandidate fires once per candidate schedule evaluation.
 	SiteDPipeCandidate = "dpipe.candidate"
@@ -191,9 +190,9 @@ type Site struct {
 	fires atomic.Int64
 }
 
-// splitmix64 is the standard SplitMix64 finalizer, used to turn
+// mix64 is the standard SplitMix64 finalizer, used to turn
 // (seed, site, ordinal) into an independent uniform stream.
-func splitmix64(x uint64) uint64 {
+func mix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
@@ -219,7 +218,7 @@ func (s *Site) shouldFire(n int64) bool {
 	if s.cfg.Every > 0 {
 		return eligible%int64(s.cfg.Every) == 0
 	}
-	u := splitmix64(s.seed ^ hashString(s.cfg.Site) ^ uint64(n))
+	u := mix64(s.seed ^ hashString(s.cfg.Site) ^ uint64(n))
 	return float64(u>>11)/(1<<53) < s.cfg.P
 }
 

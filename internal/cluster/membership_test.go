@@ -263,29 +263,22 @@ func TestConcurrentReloadAndOwnershipReads(t *testing.T) {
 					return
 				default:
 				}
-				gen := c.Generation()
-				if gen < lastGen {
+				// One atomic load gives one consistent view: its owner
+				// must come from its own member set.
+				view := c.cur.Load()
+				if view.gen < lastGen {
 					t.Error("generation went backwards")
 					return
 				}
-				lastGen = gen
+				lastGen = view.gen
 				members := map[string]bool{}
-				for _, m := range c.Members() {
+				for _, m := range view.ring.Members() {
 					members[m] = true
 				}
 				for _, k := range keys {
-					if o := c.Owner(k); o != "" && !members[o] {
-						// The owner may come from a newer view than the
-						// member snapshot; re-check against the live ring
-						// before declaring a torn read.
-						fresh := map[string]bool{}
-						for _, m := range c.Members() {
-							fresh[m] = true
-						}
-						if !fresh[o] {
-							t.Errorf("owner %q outside member set", o)
-							return
-						}
+					if o := view.ring.Owner(k); o != "" && !members[o] {
+						t.Errorf("generation %d: owner %q outside member set", view.gen, o)
+						return
 					}
 				}
 			}

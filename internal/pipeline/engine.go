@@ -90,21 +90,13 @@ type Options struct {
 	// replaces most of the exploration a cold search pays for. With WarmHint
 	// nil the evaluation is bit-identical to today's cold path.
 	WarmHint *WarmHint
-	// SpecChainSteps, SpecLookahead and SpecMaxFresh override the parallel
-	// tile search's speculation tuning (see tileseek.Options); zero keeps
-	// each default. Speculation only warms the objective memo cache, so no
-	// setting changes the search result.
-	SpecChainSteps int
-	SpecLookahead  int
-	SpecMaxFresh   int
-	// Parallelism sets the evaluation's concurrency budget: 0 selects
+	// Parallelism sets the fan-out inside each evaluation: 0 selects
 	// GOMAXPROCS, 1 the fully serial path, n > 1 parallel execution. It
-	// drives the tile search's speculative workers, concurrent sub-layer
-	// scheduling, and (unless DPipe.Parallelism is set explicitly) the DPipe
-	// candidate pool. Results are bit-identical at every setting for a fixed
-	// seed. Inside the tile search each objective evaluation runs serially —
-	// the search itself supplies the concurrency — so cores are never
-	// oversubscribed quadratically.
+	// drives concurrent sub-layer scheduling and (unless DPipe.Parallelism
+	// is set explicitly) the DPipe candidate pool, for every tile the
+	// search scores as well as the final one; the tile search itself is one
+	// serial trajectory. Results are bit-identical at every setting for a
+	// fixed seed.
 	Parallelism int
 	// Progress, when non-nil, receives typed obs events during evaluation:
 	// PhaseStart/PhaseEnd around the tile search, per-rollout RolloutDone,
@@ -257,12 +249,6 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 	// The search reward follows opts.TileSeekObjective; the default EDP
 	// breaks latency ties on compute-bound workloads in favour of less
 	// traffic, matching the paper's energy/latency reward options.
-	// Each objective evaluation runs serially: with Parallelism above 1 the
-	// tile search evaluates many configurations concurrently, and nesting
-	// another pool inside each would oversubscribe the machine.
-	innerOpts := opts
-	innerOpts.Parallelism = 1
-	innerOpts.DPipe.Parallelism = 1
 	// The objective runs once per rollout — hundreds of times per request —
 	// so it evaluates under a detached trace context: a span per rollout
 	// would blow straight through the per-trace cap and drown the request
@@ -275,7 +261,7 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 		objCtx = obs.ContextWithSpan(ctx, nil)
 	}
 	objective := func(c tiling.Config) (float64, bool) {
-		r, err := evaluateWithTile(objCtx, w, spec, sys, c, innerOpts)
+		r, err := evaluateWithTile(objCtx, w, spec, sys, c, opts)
 		if err != nil {
 			return 0, false
 		}
@@ -314,13 +300,9 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 	opts.Progress.Emit(obs.PhaseStart{Phase: "tileseek"})
 	searchStart := time.Now()
 	tsOpts := tileseek.Options{
-		Iterations:     opts.TileSeekIterations,
-		Seed:           opts.TileSeekSeed,
-		Parallelism:    opts.Parallelism,
-		Progress:       opts.Progress,
-		SpecChainSteps: opts.SpecChainSteps,
-		SpecLookahead:  opts.SpecLookahead,
-		SpecMaxFresh:   opts.SpecMaxFresh,
+		Iterations: opts.TileSeekIterations,
+		Seed:       opts.TileSeekSeed,
+		Progress:   opts.Progress,
 	}
 	if opts.WarmHint != nil {
 		// Copy so the search cannot alias the caller's hint.

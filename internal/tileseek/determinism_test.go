@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/fusedmindlab/transfusion/internal/obs"
+	"github.com/fusedmindlab/transfusion/internal/tiling"
 )
 
 // Two searches with the same seed must agree exactly: the same best
@@ -89,5 +90,55 @@ func TestSearchProgressEvents(t *testing.T) {
 	last := events[len(events)-1]
 	if !last.Found || last.BestCost != res.BestCost {
 		t.Fatalf("final event %+v does not match result best %v", last, res.BestCost)
+	}
+}
+
+// The objective memo must be indistinguishable from fresh evaluations: the
+// objective is paid exactly once per distinct configuration (every paid call
+// is a cache miss), repeats are served as hits, hits+misses equals the
+// evaluations the search consumed, and every value handed out — the best
+// included — equals a direct objective call.
+func TestObjectiveCacheCorrectness(t *testing.T) {
+	s := testSpace()
+	pure := syntheticObjective(s.Workload)
+
+	calls := map[tiling.Config]int{}
+	served := map[tiling.Config]float64{}
+	obj := func(c tiling.Config) (float64, bool) {
+		calls[c]++
+		cost, ok := pure(c)
+		served[c] = cost
+		return cost, ok
+	}
+
+	reg := obs.NewRegistry()
+	ctx := obs.WithMetrics(context.Background(), reg)
+	res, err := SearchWithOptions(ctx, s, obj, Options{Iterations: 400, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for c, n := range calls {
+		if n != 1 {
+			t.Fatalf("objective paid %d times for %v, want once", n, c)
+		}
+		if fresh, ok := pure(c); !ok || fresh != served[c] {
+			t.Fatalf("memoised value for %v = %v, fresh evaluation = %v", c, served[c], fresh)
+		}
+	}
+	if fresh, ok := pure(res.Best); !ok || fresh != res.BestCost {
+		t.Fatalf("best cost %v does not match a fresh evaluation %v", res.BestCost, fresh)
+	}
+
+	snap := reg.Snapshot()
+	hits, misses := snap.Counters["tileseek.cache_hits"], snap.Counters["tileseek.cache_misses"]
+	if hits == 0 {
+		t.Fatalf("cache never hit (hits=%d misses=%d)", hits, misses)
+	}
+	if misses != int64(len(calls)) {
+		t.Fatalf("cache_misses = %d, want the %d objective calls actually paid", misses, len(calls))
+	}
+	if hits+misses != int64(res.Evaluated) {
+		t.Fatalf("hits+misses = %d, want consumed evaluations %d", hits+misses, res.Evaluated)
 	}
 }

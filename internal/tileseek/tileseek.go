@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"runtime"
 
 	"github.com/fusedmindlab/transfusion/internal/arch"
 	"github.com/fusedmindlab/transfusion/internal/chaos"
@@ -28,7 +27,9 @@ import (
 
 // Objective scores a complete, feasible tiling configuration; lower is
 // better (e.g. modelled latency in cycles or energy in picojoules). The
-// boolean reports whether the configuration could be evaluated.
+// boolean reports whether the configuration could be evaluated. The
+// objective must be pure: the search memoises it, so a configuration the
+// trajectory revisits is served its first (cost, ok) without a second call.
 type Objective func(c tiling.Config) (cost float64, ok bool)
 
 // Space is the candidate set per tiling dimension. Dimensions are decided
@@ -190,15 +191,6 @@ type Options struct {
 	Iterations int
 	// Seed seeds the deterministic PRNG (0 selects the fixed default).
 	Seed uint64
-	// Parallelism sets how many goroutines may evaluate objectives
-	// concurrently: 0 selects GOMAXPROCS, 1 the serial engine (exactly
-	// today's single-threaded loop), and n > 1 one master plus n-1
-	// speculative workers. The result is bit-identical at every setting for
-	// a fixed seed — parallel workers only warm a memo cache of the pure
-	// objective, they never alter the master trajectory — but the objective
-	// must be concurrency-safe (and pure, or the determinism guarantee is
-	// void) whenever the effective parallelism exceeds 1.
-	Parallelism int
 	// Progress, when non-nil, receives an obs.RolloutDone event after every
 	// rollout. Leave nil to pay nothing: the event is neither constructed
 	// nor boxed when unset.
@@ -209,18 +201,9 @@ type Options struct {
 	// its evaluation becomes the incumbent best — a warm search can never
 	// return a worse objective than the hint's — and primes the objective
 	// memo. A hint whose values do not appear in the space, or which fails
-	// the buffer constraint, is ignored. With no hint the search is
-	// bit-identical to the unhinted one; with a hint the objective must be
-	// pure even at Parallelism 1, because the warm path memoises it
-	// (tileseek.cache_hits/cache_misses count the memo there too).
+	// the buffer constraint, is ignored, leaving the search identical to the
+	// unhinted one.
 	Hint *tiling.Config
-	// SpecChainSteps / SpecLookahead / SpecMaxFresh override the speculative
-	// workers' tuning when Parallelism exceeds 1 (0 = the defaults of 8,
-	// 256, and 16). Speculation only warms the objective memo, so these
-	// never change the search result.
-	SpecChainSteps int
-	SpecLookahead  int
-	SpecMaxFresh   int
 }
 
 // Search runs MCTS for the given number of iterations and returns the best
@@ -236,27 +219,14 @@ func Search(space Space, objective Objective, iterations int, seed uint64) (Resu
 // completes its budget without finding any feasible configuration returns an
 // error matching faults.ErrInfeasible — an expected outcome callers degrade
 // around, not a crash.
-//
-// SearchContext always runs the serial engine (Parallelism 1), so the
-// objective does not need to be concurrency-safe; use SearchWithOptions to
-// opt into parallel evaluation.
 func SearchContext(ctx context.Context, space Space, objective Objective, iterations int, seed uint64) (Result, error) {
-	return SearchWithOptions(ctx, space, objective, Options{Iterations: iterations, Seed: seed, Parallelism: 1})
-}
-
-// resolveParallelism maps an Options.Parallelism value to a worker count.
-func resolveParallelism(p int) int {
-	if p <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return p
+	return SearchWithOptions(ctx, space, objective, Options{Iterations: iterations, Seed: seed})
 }
 
 // walker bundles the state the MCTS loop threads through one rollout:
-// the space, its candidate lists, the PRNG, and the tree root. step is the
-// single source of truth for selection + expansion + rollout, shared by the
-// serial master loop and the speculative workers so both replay the exact
-// same trajectory from equal state.
+// the space, its candidate lists, the PRNG, and the tree root. step runs
+// selection + expansion + rollout; warmSeed pre-expands the tree in the
+// same expansion order.
 type walker struct {
 	space  Space
 	levels [][]int
@@ -433,14 +403,13 @@ func warmSeed(w *walker, hint tiling.Config, consume func(tiling.Config) (float6
 // entry point.
 //
 // Observability: a registry attached to ctx (obs.WithMetrics) accumulates
-// tileseek.searches, tileseek.rollouts, tileseek.evaluated and
-// tileseek.pruned; with parallelism enabled it additionally accumulates
-// tileseek.cache_hits, tileseek.cache_misses and tileseek.spec_evals; a
-// logger attached to ctx (obs.WithLogger) gets debug lines at search start
-// and end; opts.Progress streams per-rollout events (always from the master
-// goroutine, exactly once per rollout, at every parallelism level). With
-// none of the three configured the rollout loop allocates nothing it did not
-// already allocate. A request span attached to ctx (obs.ContextWithSpan)
+// tileseek.searches, tileseek.rollouts, tileseek.evaluated, tileseek.pruned,
+// and the objective memo's tileseek.cache_hits and tileseek.cache_misses
+// (every objective call actually paid); a logger attached to ctx
+// (obs.WithLogger) gets debug lines at search start and end; opts.Progress
+// streams per-rollout events, exactly once per rollout. With none of the
+// three configured the rollout loop allocates nothing it did not already
+// allocate. A request span attached to ctx (obs.ContextWithSpan)
 // gains one "tileseek.search" child covering the whole search, annotated
 // with the iteration budget and the evaluated/pruned/found outcome.
 func SearchWithOptions(ctx context.Context, space Space, objective Objective, opts Options) (Result, error) {
@@ -468,12 +437,9 @@ func searchWithOptions(ctx context.Context, space Space, objective Objective, op
 	if iterations <= 0 {
 		iterations = 1
 	}
-	workers := resolveParallelism(opts.Parallelism)
 
 	// Instruments are hoisted out of the rollout loop; on an unset registry
-	// each is nil and its increments are single predicted branches. The
-	// cache counters are registered even on serial searches so they always
-	// appear in exported snapshots.
+	// each is nil and its increments are single predicted branches.
 	reg := obs.MetricsFrom(ctx)
 	rolloutsC := reg.Counter("tileseek.rollouts")
 	evaluatedC := reg.Counter("tileseek.evaluated")
@@ -484,8 +450,7 @@ func searchWithOptions(ctx context.Context, space Space, objective Objective, op
 	lg := obs.LoggerFrom(ctx)
 	if lg.Enabled(ctx, slog.LevelDebug) {
 		lg.Debug("tileseek: search start",
-			"space", space.Size(), "iterations", iterations, "seed", opts.Seed,
-			"parallelism", workers)
+			"space", space.Size(), "iterations", iterations, "seed", opts.Seed)
 	}
 	res := Result{BestCost: math.Inf(1)}
 	// scale normalises rewards: the first feasible cost maps to reward 1.
@@ -493,48 +458,32 @@ func searchWithOptions(ctx context.Context, space Space, objective Objective, op
 
 	w := &walker{space: space, levels: space.levels(), r: newRNG(opts.Seed), root: &node{}}
 
-	// consume resolves one feasible configuration to its objective value. At
-	// Parallelism 1 it is a direct call — exactly the historical serial path.
-	// Above 1 it goes through the speculator's memo cache: the master claims
-	// or joins the config's singleflight entry while P-1 workers replay the
-	// published trajectory ahead of the master and pre-evaluate the configs
-	// it is about to need. Only the master mutates w or res, so the
-	// trajectory — and therefore the Result — is bit-identical to serial.
-	consume := objective
-	if workers > 1 {
-		sp := newSpeculator(space, objective, opts.Seed, workers-1, opts.tuning(), hitsC, missesC, reg.Counter("tileseek.spec_evals"))
-		defer sp.stop()
-		consume = func(cfg tiling.Config) (float64, bool) {
-			return sp.consume(cfg, w, scale)
+	// consume resolves one feasible configuration to its objective value
+	// through a memo of the pure objective: UCB1 keeps re-selecting good
+	// paths and the rollout tail often lands on a configuration already
+	// scored, so a repeat costs a map lookup instead of a full evaluation.
+	// Memoised values equal fresh ones, so the trajectory is unchanged.
+	type memoEntry struct {
+		cost float64
+		ok   bool
+	}
+	memo := make(map[tiling.Config]memoEntry)
+	consume := func(cfg tiling.Config) (float64, bool) {
+		if e, hit := memo[cfg]; hit {
+			hitsC.Inc()
+			return e.cost, e.ok
 		}
-	} else if opts.Hint != nil {
-		// A warm serial search memoises the (pure, per the Hint contract)
-		// objective, mirroring the parallel engine's cache: the pre-visited
-		// hint biases the trajectory toward its own neighbourhood, so repeat
-		// configurations become free instead of re-paying the evaluation.
-		// Cold serial searches keep the historical direct-call path exactly.
-		type memoEntry struct {
-			cost float64
-			ok   bool
-		}
-		memo := make(map[tiling.Config]memoEntry)
-		consume = func(cfg tiling.Config) (float64, bool) {
-			if e, hit := memo[cfg]; hit {
-				hitsC.Inc()
-				return e.cost, e.ok
-			}
-			missesC.Inc()
-			cost, ok := objective(cfg)
-			memo[cfg] = memoEntry{cost: cost, ok: ok}
-			return cost, ok
-		}
+		missesC.Inc()
+		cost, ok := objective(cfg)
+		memo[cfg] = memoEntry{cost: cost, ok: ok}
+		return cost, ok
 	}
 
 	if opts.Hint != nil {
 		warmSeed(w, *opts.Hint, consume, &res, &scale, reg.Counter("tileseek.warm_seeds"), evaluatedC, prunedC)
 	}
 
-	// Fault-injection site, struck once per rollout on the master trajectory.
+	// Fault-injection site, struck once per rollout.
 	// Unconfigured (the production default) the hoisted lookup is nil and each
 	// Strike is a single predicted branch. An injected error or cancel aborts
 	// the search exactly as a real mid-search failure would — callers see the

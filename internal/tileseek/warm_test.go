@@ -11,7 +11,7 @@ import (
 
 // A warm-seeded search must (a) record the seed, (b) never end worse than
 // the hint's own objective — the hint becomes the incumbent before the first
-// rollout — and (c) stay bit-identical across Parallelism settings.
+// rollout — and (c) be deterministic given the hint.
 func TestWarmHintNeverWorseAndDeterministic(t *testing.T) {
 	s := testSpace()
 	obj := syntheticObjective(s.Workload)
@@ -28,12 +28,12 @@ func TestWarmHintNeverWorseAndDeterministic(t *testing.T) {
 		t.Fatal("hint not evaluable")
 	}
 
-	run := func(par int) (Result, int64) {
+	run := func() (Result, int64) {
 		reg := obs.NewRegistry()
 		ctx := obs.WithMetrics(context.Background(), reg)
 		h := hint
 		res, err := SearchWithOptions(ctx, s, obj, Options{
-			Iterations: 60, Seed: 7, Parallelism: par, Hint: &h,
+			Iterations: 60, Seed: 7, Hint: &h,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -41,7 +41,7 @@ func TestWarmHintNeverWorseAndDeterministic(t *testing.T) {
 		return res, reg.Counter("tileseek.warm_seeds").Value()
 	}
 
-	warm, seeds := run(1)
+	warm, seeds := run()
 	if seeds != 1 {
 		t.Fatalf("tileseek.warm_seeds = %d, want 1", seeds)
 	}
@@ -51,14 +51,12 @@ func TestWarmHintNeverWorseAndDeterministic(t *testing.T) {
 	if warm.BestCost > hintCost {
 		t.Fatalf("warm BestCost %v worse than the hint's %v — never-worse-than-hint violated", warm.BestCost, hintCost)
 	}
-	for _, par := range []int{1, 4} {
-		res, n := run(par)
-		if !reflect.DeepEqual(res, warm) {
-			t.Fatalf("parallelism %d: warm result diverged:\n%+v\nvs\n%+v", par, res, warm)
-		}
-		if n != 1 {
-			t.Fatalf("parallelism %d: warm_seeds = %d, want 1", par, n)
-		}
+	res, n := run()
+	if !reflect.DeepEqual(res, warm) {
+		t.Fatalf("warm result diverged on a repeat run:\n%+v\nvs\n%+v", res, warm)
+	}
+	if n != 1 {
+		t.Fatalf("repeat run: warm_seeds = %d, want 1", n)
 	}
 }
 
@@ -91,35 +89,5 @@ func TestInvalidTileHintColdIdentical(t *testing.T) {
 		if got := reg.Counter("tileseek.warm_seeds").Value(); got != 0 {
 			t.Fatalf("%s: warm_seeds = %d for an invalid hint, want 0", name, got)
 		}
-	}
-}
-
-// The promoted speculation knobs must resolve zeros to the historical
-// defaults and honour explicit overrides.
-func TestSpecTuningResolution(t *testing.T) {
-	def := Options{}.tuning()
-	if def.chainSteps != defaultSpecChainSteps || def.lookahead != defaultSpecLookahead || def.maxFresh != defaultSpecMaxFresh {
-		t.Fatalf("zero Options resolved to %+v, want package defaults", def)
-	}
-	got := Options{SpecChainSteps: 3, SpecLookahead: 40, SpecMaxFresh: 5}.tuning()
-	if got.chainSteps != 3 || got.lookahead != 40 || got.maxFresh != 5 {
-		t.Fatalf("explicit tuning not honoured: %+v", got)
-	}
-	// Tuning redistributes speculative work but never changes the result.
-	s := testSpace()
-	obj := syntheticObjective(s.Workload)
-	base, err := SearchWithOptions(context.Background(), s, obj, Options{Iterations: 80, Seed: 5, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := SearchWithOptions(context.Background(), s, obj, Options{
-		Iterations: 80, Seed: 5, Parallelism: 4,
-		SpecChainSteps: 2, SpecLookahead: 16, SpecMaxFresh: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tuned, base) {
-		t.Fatalf("speculation tuning changed the search result:\n%+v\nvs\n%+v", tuned, base)
 	}
 }
