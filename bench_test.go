@@ -98,6 +98,7 @@ func BenchmarkAblationDPipe(b *testing.B)    { benchExperiment(b, "ablation-dpip
 // engines in isolation.
 
 func BenchmarkDPipePlanMHA(b *testing.B) {
+	b.ReportAllocs()
 	probs := buildLlamaProblems(b)
 	prob := probs["mha"]
 	spec := cloudSpec()
@@ -110,6 +111,7 @@ func BenchmarkDPipePlanMHA(b *testing.B) {
 }
 
 func BenchmarkDPipePlanFFN(b *testing.B) {
+	b.ReportAllocs()
 	probs := buildLlamaProblems(b)
 	prob := probs["ffn"]
 	spec := cloudSpec()
@@ -122,6 +124,7 @@ func BenchmarkDPipePlanFFN(b *testing.B) {
 }
 
 func BenchmarkEvaluateTransFusionCloud64K(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experimentsEval(b, "cloud"); err != nil {
 			b.Fatal(err)
@@ -130,6 +133,7 @@ func BenchmarkEvaluateTransFusionCloud64K(b *testing.B) {
 }
 
 func BenchmarkEvaluateTransFusionEdge64K(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experimentsEval(b, "edge"); err != nil {
 			b.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // latest dependency — intra-epoch predecessors plus previous-epoch state
 // edges (second term); Eq. 44 adds the latency, Eq. 45 takes the earlier
 // completion with the 2D array preferred on ties, Eq. 46 commits the
-// timeline. It shares no code with schedule()/evaluate() beyond the Problem
+// timeline. It shares no code with the compiled schedule/evaluate beyond the Problem
 // definition and OpSpec.Cycles.
 func refDP(p *Problem, spec arch.Spec, order []string, epochs int) (makespan, busy1, busy2 float64) {
 	avail := map[perf.ArrayKind]float64{}
@@ -136,7 +136,7 @@ func TestScheduleMatchesDPOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			epochs := int(p.Epochs)
-			res := evaluate(p, spec, order, nil, epochs, nil, nil, math.Inf(1))
+			res := evaluateResult(p, spec, order, nil, epochs, nil, nil, math.Inf(1))
 			wantMk, want1, want2 := refDP(p, spec, order, epochs)
 			if res.TotalCycles != wantMk {
 				t.Fatalf("%s case %d (%s): makespan %v, oracle %v", spec.Name, i, p.Name, res.TotalCycles, wantMk)
@@ -167,7 +167,7 @@ func TestEvaluateExtrapolationBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := evaluate(p, spec, order, nil, explicit, nil, nil, math.Inf(1))
+		got := evaluateResult(p, spec, order, nil, explicit, nil, nil, math.Inf(1))
 		windowMk, _, _ := refDP(p, spec, order, explicit)
 		exactMk, _, _ := refDP(p, spec, order, int(p.Epochs))
 		serial := p.SerialLoadCycles(spec)
@@ -194,7 +194,7 @@ func TestEvaluateExtrapolationExactOnCleanPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := evaluate(p, spec, order, nil, 12, nil, nil, math.Inf(1))
+	got := evaluateResult(p, spec, order, nil, 12, nil, nil, math.Inf(1))
 	exactMk, _, _ := refDP(p, spec, order, 400)
 	if rel := math.Abs(got.TotalCycles-exactMk) / exactMk; rel > 0.01 {
 		t.Errorf("extrapolated makespan %v vs exact %v (%.2f%% off)", got.TotalCycles, exactMk, rel*100)

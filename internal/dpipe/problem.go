@@ -86,7 +86,7 @@ func FromCascade(c *cascade.Cascade, dims map[string]int, epochs int64) (*Proble
 		// Rows spread independent output elements; columns may additionally
 		// spread a reduction dimension (spatial reduction along the array,
 		// as a systolic GEMM reduces along its columns).
-		colCandidates := append(append([]string{}, e.OutIdx...), e.ReductionIndices(nil)...)
+		colCandidates := append(append([]string{}, e.OutIdx...), e.ReductionIndices()...)
 		ops[e.Name] = perf.OpSpec{
 			E:      e,
 			Dims:   opDims,

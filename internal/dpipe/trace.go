@@ -2,7 +2,6 @@ package dpipe
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -33,7 +32,9 @@ type Trace struct {
 // TraceSchedule replays the Eq. 43–46 DP for the given candidate order and
 // bipartition over `epochs` explicit epochs, recording every placement.
 // A nil `first` uses epoch-major sequencing; otherwise the Figure 7(d)
-// interleaving. fixedAssign pins arrays as in StaticPipelined.
+// interleaving. fixedAssign pins arrays as in StaticPipelined. The replay
+// runs the same compiled DP as Plan, so a trace of a plan's winning
+// candidate over the plan's explicit window reproduces its makespan.
 func TraceSchedule(p *Problem, spec arch.Spec, order []string, first map[string]bool, epochs int, fixedAssign map[string]perf.ArrayKind) (*Trace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -48,63 +49,25 @@ func TraceSchedule(p *Problem, spec arch.Spec, order []string, first map[string]
 		}
 		order = canon
 	}
-	seq := buildSequence(order, first, epochs)
-
-	timeline := map[perf.ArrayKind]float64{perf.PE2D: 0, perf.PE1D: 0}
-	endT := make(map[instance]float64, len(seq))
-	tr := &Trace{Problem: p.Name, Epochs: epochs}
-
-	for _, inst := range seq {
-		op := p.Ops[inst.name]
-		depEnd := 0.0
-		for _, pred := range p.Deps.Pred(inst.name) {
-			e, ok := endT[instance{pred, inst.epoch}]
-			if !ok {
-				return nil, fmt.Errorf("dpipe: trace: dependency %s@%d unscheduled before %s@%d",
-					pred, inst.epoch, inst.name, inst.epoch)
-			}
-			if e > depEnd {
-				depEnd = e
-			}
+	c, err := compile(p, spec, fixedAssign)
+	if err != nil {
+		return nil, err
+	}
+	ids, err := c.ids(order)
+	if err != nil {
+		return nil, err
+	}
+	tr := &Trace{Problem: p.Name, Epochs: epochs, Entries: make([]TraceEntry, 0, len(ids)*epochs)}
+	w := newWorkspace(c, epochs)
+	w.trace = tr
+	tr.Makespan, _ = c.schedule(w, ids, c.firstSet(first), epochs, nil, false, nil)
+	if v := w.viol; v.happened {
+		kind := "dependency"
+		if v.state {
+			kind = "state dependency"
 		}
-		if inst.epoch > 0 {
-			for _, se := range p.StateEdges {
-				if se.To != inst.name {
-					continue
-				}
-				e, ok := endT[instance{se.From, inst.epoch - 1}]
-				if !ok {
-					return nil, fmt.Errorf("dpipe: trace: state dependency %s@%d unscheduled before %s@%d",
-						se.From, inst.epoch-1, inst.name, inst.epoch)
-				}
-				if e > depEnd {
-					depEnd = e
-				}
-			}
-		}
-
-		arrays := []perf.ArrayKind{perf.PE2D, perf.PE1D}
-		if fixedAssign != nil {
-			arrays = []perf.ArrayKind{fixedAssign[inst.name]}
-		}
-		bestEnd := math.Inf(1)
-		var bestArr perf.ArrayKind
-		var bestStart float64
-		for _, arr := range arrays {
-			start := math.Max(timeline[arr], depEnd)
-			end := start + op.Cycles(spec, arr)
-			if end < bestEnd {
-				bestEnd, bestArr, bestStart = end, arr, start
-			}
-		}
-		timeline[bestArr] = bestEnd
-		endT[instance{inst.name, inst.epoch}] = bestEnd
-		tr.Entries = append(tr.Entries, TraceEntry{
-			Op: inst.name, Epoch: inst.epoch, Array: bestArr, Start: bestStart, End: bestEnd,
-		})
-		if bestEnd > tr.Makespan {
-			tr.Makespan = bestEnd
-		}
+		return nil, fmt.Errorf("dpipe: trace: %s %s@%d unscheduled before %s@%d",
+			kind, c.names[v.dep], v.depEpoch, c.names[v.op], v.epoch)
 	}
 	// Deterministic entry order regardless of how the candidate sequence
 	// interleaved the instances: sort by start time, breaking ties by op
@@ -146,15 +109,19 @@ func (t *Trace) Validate(p *Problem) error {
 		}
 	}
 	// Dependency ordering.
-	end := make(map[instance]float64, len(t.Entries))
-	start := make(map[instance]float64, len(t.Entries))
+	type opEpoch struct {
+		op    string
+		epoch int
+	}
+	end := make(map[opEpoch]float64, len(t.Entries))
+	start := make(map[opEpoch]float64, len(t.Entries))
 	for _, e := range t.Entries {
-		end[instance{e.Op, e.Epoch}] = e.End
-		start[instance{e.Op, e.Epoch}] = e.Start
+		end[opEpoch{e.Op, e.Epoch}] = e.End
+		start[opEpoch{e.Op, e.Epoch}] = e.Start
 	}
 	for _, e := range t.Entries {
 		for _, pred := range p.Deps.Pred(e.Op) {
-			if pe, ok := end[instance{pred, e.Epoch}]; ok && start[instance{e.Op, e.Epoch}] < pe-1e-9 {
+			if pe, ok := end[opEpoch{pred, e.Epoch}]; ok && start[opEpoch{e.Op, e.Epoch}] < pe-1e-9 {
 				return fmt.Errorf("dpipe: trace: %s@%d starts before dependency %s@%d finishes", e.Op, e.Epoch, pred, e.Epoch)
 			}
 		}
@@ -163,7 +130,7 @@ func (t *Trace) Validate(p *Problem) error {
 				if se.To != e.Op {
 					continue
 				}
-				if pe, ok := end[instance{se.From, e.Epoch - 1}]; ok && start[instance{e.Op, e.Epoch}] < pe-1e-9 {
+				if pe, ok := end[opEpoch{se.From, e.Epoch - 1}]; ok && start[opEpoch{e.Op, e.Epoch}] < pe-1e-9 {
 					return fmt.Errorf("dpipe: trace: %s@%d starts before recurrence %s@%d finishes", e.Op, e.Epoch, se.From, e.Epoch-1)
 				}
 			}

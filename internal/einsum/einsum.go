@@ -114,7 +114,7 @@ type Einsum struct {
 // indices (classic einsum), and inferred class.
 func New(name string, out []string, inputs ...Arg) *Einsum {
 	e := &Einsum{Name: name, OutIdx: out, Inputs: inputs, Reduce: ReduceSum, ClassHint: -1, combineIsMul: true}
-	if len(e.ReductionIndices(nil)) == 0 {
+	if len(e.ReductionIndices()) == 0 {
 		e.Reduce = ReduceNone
 	}
 	return e
@@ -143,7 +143,7 @@ func (e *Einsum) Class() Class {
 	if e.ClassHint >= 0 {
 		return e.ClassHint
 	}
-	if e.combineIsMul && len(e.Inputs) >= 2 && e.Reduce == ReduceSum && len(e.ReductionIndices(nil)) > 0 {
+	if e.combineIsMul && len(e.Inputs) >= 2 && e.Reduce == ReduceSum && len(e.ReductionIndices()) > 0 {
 		return ClassContraction
 	}
 	return ClassVector
@@ -183,10 +183,8 @@ func (e *Einsum) AllIndices() []string {
 }
 
 // ReductionIndices returns the index labels that appear in at least one
-// input but not in the output — the dimensions reduced over. The env
-// argument is unused for the label computation and may be nil; it is
-// accepted so call sites mirror ComputeLoad.
-func (e *Einsum) ReductionIndices(_ map[string]int) []string {
+// input but not in the output — the dimensions reduced over.
+func (e *Einsum) ReductionIndices() []string {
 	outSet := make(map[string]bool, len(e.OutIdx))
 	for _, i := range e.OutIdx {
 		outSet[i] = true
@@ -238,8 +236,8 @@ func (e *Einsum) Validate(env map[string]int) error {
 			return fmt.Errorf("einsum %s: index %q has non-positive size %d", e.Name, i, size)
 		}
 	}
-	if e.Reduce == ReduceNone && len(e.ReductionIndices(nil)) > 0 {
-		return fmt.Errorf("einsum %s: ReduceNone with reduction indices %v", e.Name, e.ReductionIndices(nil))
+	if e.Reduce == ReduceNone && len(e.ReductionIndices()) > 0 {
+		return fmt.Errorf("einsum %s: ReduceNone with reduction indices %v", e.Name, e.ReductionIndices())
 	}
 	if e.Combine == nil && !e.combineIsMul && len(e.Inputs) > 1 {
 		return fmt.Errorf("einsum %s: multiple inputs but no combine function", e.Name)
@@ -256,7 +254,7 @@ func (e *Einsum) OutputSize(env map[string]int) int64 {
 // operations, computed as the product of the output dimension extents times
 // the product of the reduction dimension extents.
 func (e *Einsum) ComputeLoad(env map[string]int) int64 {
-	return indexProduct(e.OutIdx, env) * indexProduct(e.ReductionIndices(nil), env)
+	return indexProduct(e.OutIdx, env) * indexProduct(e.ReductionIndices(), env)
 }
 
 func indexProduct(idx []string, env map[string]int) int64 {
@@ -295,7 +293,7 @@ func (e *Einsum) String() string {
 		}
 		fmt.Fprintf(&b, " %s[%s]", in.Tensor, strings.Join(in.Idx, ","))
 	}
-	if red := e.ReductionIndices(nil); len(red) > 0 {
+	if red := e.ReductionIndices(); len(red) > 0 {
 		fmt.Fprintf(&b, " :: %s(%s)", e.Reduce, strings.Join(red, ","))
 	}
 	return b.String()

@@ -20,7 +20,7 @@ func env(pairs ...interface{}) map[string]int {
 
 func TestNewMatmulStructure(t *testing.T) {
 	e := New("C", []string{"m", "n"}, In("A", "m", "k"), In("B", "k", "n"))
-	if got := e.ReductionIndices(nil); len(got) != 1 || got[0] != "k" {
+	if got := e.ReductionIndices(); len(got) != 1 || got[0] != "k" {
 		t.Fatalf("reduction indices = %v, want [k]", got)
 	}
 	if e.Reduce != ReduceSum {
@@ -63,7 +63,7 @@ func TestComputeLoadElementwise(t *testing.T) {
 func TestComputeLoadBroadcastInput(t *testing.T) {
 	// DAV[h,f,p] = IAV[h,f,p] - MAV[p]: broadcast along h,f; no reduction.
 	e := Map("DAV", []string{"h", "f", "p"}, Sub2, In("IAV", "h", "f", "p"), In("MAV", "p"))
-	if got := len(e.ReductionIndices(nil)); got != 0 {
+	if got := len(e.ReductionIndices()); got != 0 {
 		t.Fatalf("reduction indices = %d, want 0", got)
 	}
 	if got := e.ComputeLoad(env("h", 2, "f", 3, "p", 5)); got != 30 {
@@ -73,7 +73,7 @@ func TestComputeLoadBroadcastInput(t *testing.T) {
 
 func TestReductionConstructor(t *testing.T) {
 	e := Reduction("LM", []string{"h", "m1", "p"}, ReduceMax, In("BQK", "h", "m1", "m0", "p"))
-	if got := e.ReductionIndices(nil); len(got) != 1 || got[0] != "m0" {
+	if got := e.ReductionIndices(); len(got) != 1 || got[0] != "m0" {
 		t.Fatalf("reduction indices = %v, want [m0]", got)
 	}
 	if e.Class() != ClassVector {
@@ -150,7 +150,7 @@ func TestParseRoundTrip(t *testing.T) {
 	if e.Name != "BQK" || len(e.Inputs) != 2 {
 		t.Fatalf("parsed %+v", e)
 	}
-	if got := e.ReductionIndices(nil); len(got) != 1 || got[0] != "e" {
+	if got := e.ReductionIndices(); len(got) != 1 || got[0] != "e" {
 		t.Fatalf("reduction = %v", got)
 	}
 	if e.Class() != ClassContraction {
@@ -266,7 +266,7 @@ func TestQuickIndexPartition(t *testing.T) {
 		out[i] = true
 	}
 	red := make(map[string]bool)
-	for _, i := range e.ReductionIndices(nil) {
+	for _, i := range e.ReductionIndices() {
 		red[i] = true
 	}
 	for _, i := range e.AllIndices() {

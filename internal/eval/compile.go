@@ -59,7 +59,7 @@ func Compile(e *einsum.Einsum, env Env, dimSizes map[string]int) (*Program, erro
 	}
 
 	// Loop order: output indices then reduction indices.
-	loops := append(append([]string{}, e.OutIdx...), e.ReductionIndices(nil)...)
+	loops := append(append([]string{}, e.OutIdx...), e.ReductionIndices()...)
 	p.numOut = len(e.OutIdx)
 	p.extents = make([]int, len(loops))
 	for i, idx := range loops {

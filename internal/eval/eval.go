@@ -72,7 +72,7 @@ func Apply(e *einsum.Einsum, env Env, dimSizes map[string]int) (*tensor.Tensor, 
 	}
 	out := tensor.New(outDims...)
 
-	redIdx := e.ReductionIndices(nil)
+	redIdx := e.ReductionIndices()
 	coord := make(map[string]int, len(e.OutIdx)+len(redIdx))
 	vals := make([]float64, len(e.Inputs))
 
