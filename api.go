@@ -421,49 +421,68 @@ func (p *keyParser) duration(label string) time.Duration {
 	return v
 }
 
-func (s RunSpec) resolve() (arch.Spec, model.Config, pipeline.System, pipeline.Options, int, error) {
+// resolved is what a RunSpec names once looked up and defaulted: the
+// architecture, model and system, the engine options, and the batch.
+type resolved struct {
+	arch  arch.Spec
+	model model.Config
+	sys   pipeline.System
+	opts  pipeline.Options
+	batch int
+}
+
+// Validate reports whether the spec can be evaluated at all: its numeric
+// ranges and the architecture, model and system it names. It runs exactly
+// the checks RunContext runs before any evaluation work, so a caller that
+// queues, caches or forwards specs (the serving layer) can refuse one that
+// could never succeed before spending anything on it. A malformed spec
+// yields an error matching ErrInvalidSpec.
+func (s RunSpec) Validate() error {
+	_, err := s.resolve()
+	return err
+}
+
+func (s RunSpec) resolve() (resolved, error) {
 	if err := s.validate(); err != nil {
-		return arch.Spec{}, model.Config{}, pipeline.System{}, pipeline.Options{}, 0, err
+		return resolved{}, err
 	}
-	var spec arch.Spec
+	var r resolved
 	var err error
 	if s.ArchFile != "" {
-		spec, err = arch.FromJSONFile(s.ArchFile)
+		r.arch, err = arch.FromJSONFile(s.ArchFile)
 	} else {
-		spec, err = arch.ByName(s.Arch)
+		r.arch, err = arch.ByName(s.Arch)
 	}
 	if err != nil {
-		return arch.Spec{}, model.Config{}, pipeline.System{}, pipeline.Options{}, 0, err
+		return resolved{}, err
 	}
-	var m model.Config
 	if cm := s.CustomModel; cm != nil {
-		m, err = model.Custom(cm.Name, cm.Heads, cm.HeadDim, cm.FFNHidden, cm.Layers, cm.Activation)
+		r.model, err = model.Custom(cm.Name, cm.Heads, cm.HeadDim, cm.FFNHidden, cm.Layers, cm.Activation)
 	} else {
-		m, err = model.ByName(s.Model)
+		r.model, err = model.ByName(s.Model)
 	}
 	if err != nil {
-		return arch.Spec{}, model.Config{}, pipeline.System{}, pipeline.Options{}, 0, err
+		return resolved{}, err
 	}
-	sys, err := pipeline.SystemByName(s.System)
-	if err != nil {
-		return arch.Spec{}, model.Config{}, pipeline.System{}, pipeline.Options{}, 0, err
+	if r.sys, err = pipeline.SystemByName(s.System); err != nil {
+		return resolved{}, err
 	}
-	batch := s.Batch
-	if batch == 0 {
-		batch = model.EvalBatch
+	r.batch = s.Batch
+	if r.batch == 0 {
+		r.batch = model.EvalBatch
 	}
-	opts := pipeline.DefaultOptions()
+	r.opts = pipeline.DefaultOptions()
 	if s.SearchBudget > 0 {
-		opts.TileSeekIterations = s.SearchBudget
+		r.opts.TileSeekIterations = s.SearchBudget
 	}
 	if s.SearchTimeout > 0 {
-		opts.TileSeekTimeout = s.SearchTimeout
+		r.opts.TileSeekTimeout = s.SearchTimeout
 	}
-	opts.Progress = s.Progress
-	opts.Parallelism = s.Parallelism
-	opts.SkipSearch = s.HeuristicOnly
-	opts.WarmHint = s.WarmHint.toPipeline()
-	return spec, m, sys, opts, batch, nil
+	r.opts.Progress = s.Progress
+	r.opts.Parallelism = s.Parallelism
+	r.opts.SkipSearch = s.HeuristicOnly
+	r.opts.WarmHint = s.WarmHint.toPipeline()
+	return r, nil
 }
 
 // toPipeline converts the serialisable hint into the engine's form; nil in,
@@ -535,16 +554,16 @@ func Run(s RunSpec) (RunResult, error) {
 // surfaces as a *InternalError carrying the stack trace.
 func RunContext(ctx context.Context, s RunSpec) (res RunResult, err error) {
 	defer faults.Recover(&err)
-	spec, m, sys, opts, batch, err := s.resolve()
+	rs, err := s.resolve()
 	if err != nil {
 		return RunResult{}, err
 	}
-	w := pipeline.Workload{Model: m, SeqLen: s.SeqLen, Batch: batch, Causal: s.Causal}
-	r, err := pipeline.EvaluateContext(ctx, w, spec, sys, opts)
+	w := pipeline.Workload{Model: rs.model, SeqLen: s.SeqLen, Batch: rs.batch, Causal: s.Causal}
+	r, err := pipeline.EvaluateContext(ctx, w, rs.arch, rs.sys, rs.opts)
 	if err != nil {
 		return RunResult{}, err
 	}
-	return toRunResult(r, batch), nil
+	return toRunResult(r, rs.batch), nil
 }
 
 // Compare evaluates all five systems on one workload/architecture, in the
@@ -862,15 +881,16 @@ func RunEncoderDecoderContext(ctx context.Context, s StackSpec) (sr StackResult,
 	if s.DecSeq <= 0 || s.DecSeq > MaxSeqLen {
 		return StackResult{}, faults.Invalidf("transfusion: decoder sequence length %d out of range (1..%d)", s.DecSeq, MaxSeqLen)
 	}
-	spec, m, sys, opts, batch, err := RunSpec{
+	rs, err := RunSpec{
 		Arch: s.Arch, Model: s.Model, System: s.System,
 		SeqLen: s.EncSeq, Batch: s.Batch, SearchBudget: s.SearchBudget,
 	}.resolve()
 	if err != nil {
 		return StackResult{}, err
 	}
-	w := pipeline.Workload{Model: m, Batch: batch}
-	res, err := pipeline.EvaluateEncoderDecoderContext(ctx, w, s.EncSeq, s.DecSeq, spec, sys, opts)
+	batch := rs.batch
+	w := pipeline.Workload{Model: rs.model, Batch: batch}
+	res, err := pipeline.EvaluateEncoderDecoderContext(ctx, w, s.EncSeq, s.DecSeq, rs.arch, rs.sys, rs.opts)
 	if err != nil {
 		return StackResult{}, err
 	}
@@ -896,12 +916,13 @@ func RunEncoderDecoderContext(ctx context.Context, s StackSpec) (sr StackResult,
 // `transfusion -explain`.
 func Explain(s RunSpec) (out string, err error) {
 	defer faults.Recover(&err)
-	spec, m, sys, opts, batch, err := s.resolve()
+	rs, err := s.resolve()
 	if err != nil {
 		return "", err
 	}
-	w := pipeline.Workload{Model: m, SeqLen: s.SeqLen, Batch: batch, Causal: s.Causal}
-	res, err := pipeline.Evaluate(w, spec, sys, opts)
+	spec, m, sys := rs.arch, rs.model, rs.sys
+	w := pipeline.Workload{Model: m, SeqLen: s.SeqLen, Batch: rs.batch, Causal: s.Causal}
+	res, err := pipeline.Evaluate(w, spec, sys, rs.opts)
 	if err != nil {
 		return "", err
 	}

@@ -11,6 +11,8 @@
 package arch
 
 import (
+	"sort"
+
 	"github.com/fusedmindlab/transfusion/internal/faults"
 )
 
@@ -171,5 +173,6 @@ func ByName(name string) (Spec, error) {
 	for n := range p {
 		names = append(names, n)
 	}
+	sort.Strings(names) // map order would make the error text vary run to run
 	return Spec{}, faults.Invalidf("arch: unknown preset %q (have %v)", name, names)
 }

@@ -2,6 +2,7 @@ package arch
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -86,6 +87,18 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("gpu"); err == nil {
 		t.Fatal("ByName(gpu) succeeded")
+	}
+}
+
+// The unknown-preset error lists the valid names in sorted order, so the
+// same bad request always produces the same error text.
+func TestByNameErrorListsPresetsSorted(t *testing.T) {
+	const want = `arch: unknown preset "gpu" (have [cloud edge edge32 edge64])`
+	for i := 0; i < 20; i++ {
+		_, err := ByName("gpu")
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("ByName(gpu) error = %v, want prefix %q", err, want)
+		}
 	}
 }
 

@@ -71,12 +71,7 @@ func (a *admission) doAcquire(ctx context.Context) error {
 	}
 	select {
 	case a.sem <- struct{}{}:
-		if ctx.Err() != nil {
-			<-a.sem
-			return faults.Canceled(ctx)
-		}
-		a.activeG.Add(1)
-		return nil
+		return a.claimed(ctx)
 	default:
 	}
 	if q := a.queued.Add(1); q > a.hardCap {
@@ -91,18 +86,23 @@ func (a *admission) doAcquire(ctx context.Context) error {
 	}()
 	select {
 	case a.sem <- struct{}{}:
-		// Both arms of the select can be ready at once and the winner is
-		// random; a caller that is already canceled must give the slot
-		// straight back instead of starting an evaluation nobody reads.
-		if ctx.Err() != nil {
-			<-a.sem
-			return faults.Canceled(ctx)
-		}
-		a.activeG.Add(1)
-		return nil
+		return a.claimed(ctx)
 	case <-ctx.Done():
 		return faults.Canceled(ctx)
 	}
+}
+
+// claimed finishes a slot claim. A slot and a cancellation can be ready at
+// once (and a select picks its winner at random), so a caller that is
+// already canceled gives the slot straight back instead of starting an
+// evaluation nobody reads.
+func (a *admission) claimed(ctx context.Context) error {
+	if ctx.Err() != nil {
+		<-a.sem
+		return faults.Canceled(ctx)
+	}
+	a.activeG.Add(1)
+	return nil
 }
 
 // release returns a slot claimed by acquire.

@@ -63,11 +63,6 @@ type BatchPlanResponse struct {
 // on the cache rather than racing the singleflight. Whole-batch errors (bad
 // JSON, empty or oversized list) answer 400 with no entries.
 func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Status: http.StatusMethodNotAllowed})
-		return
-	}
 	start := time.Now()
 	var req BatchPlanRequest
 	if err := decodeStrict(r, &req); err != nil {
@@ -86,50 +81,33 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 	degradeMode := ""
 	for i, pr := range req.Requests {
 		entry := &resp.Entries[i]
-		if err := s.validateLimits(pr.SeqLen, pr.SearchBudget); err != nil {
-			entry.Status = faults.HTTPStatus(err)
-			entry.Error = err.Error()
-			resp.Failed++
-			continue
+		spec, err := s.specOf(pr)
+		var res resolution
+		if err == nil {
+			res, err = s.resolve(r.Context(), spec, true)
 		}
-		spec := transfusion.RunSpec{
-			Arch: pr.Arch, Model: pr.Model, SeqLen: pr.SeqLen, System: pr.System,
-			Batch: pr.Batch, SearchBudget: pr.SearchBudget, Causal: pr.Causal,
-		}
-		res, cached, key, mode, source, err := s.evalPlan(r.Context(), spec, true)
 		if err != nil {
 			entry.Status = faults.HTTPStatus(err)
 			entry.Error = err.Error()
 			resp.Failed++
 			continue
 		}
-		if mode != "" && !res.Degraded {
-			res.Degraded = true
-			res.DegradedReason = "served degraded under load (" + mode + " tier)"
-		}
-		if res.Degraded {
+		if mode := res.stampDegraded(); mode != "" {
 			resp.DegradedEntries++
 			if degradeMode == "" {
-				if mode == "" {
-					mode = degradeSearch
-				}
 				degradeMode = mode
 			}
 		}
-		entry.Status = http.StatusOK
-		entry.Result = &res
-		entry.Cached = cached
-		entry.Key = key
-		entry.Source = source
+		*entry = BatchPlanEntry{Status: http.StatusOK, Result: &res.res, Cached: res.cached, Key: res.key, Source: res.source}
 	}
 	// Same per-response degradation invariant as /v1/compare: one header and
 	// one counter however many entries degraded.
 	if degradeMode != "" {
-		s.markDegradedResponse(r.Context(), w, degradeMode)
+		s.markDegraded(r.Context(), w, degradeMode)
 	}
 	if resp.Failed < len(resp.Entries) {
 		s.noteSuccess()
 	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
+	resp.ElapsedMS = msSince(start)
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -311,6 +311,22 @@ func TestClusterKilledOwnerFallsBackLocally(t *testing.T) {
 	}
 }
 
+// A malformed spec is refused at the replica it arrives on: neither the
+// owner nor a non-owner forwards it, so it costs the cluster no peer hop.
+func TestPeerForwardSkipsMalformedSpec(t *testing.T) {
+	h := newClusterHarness(t, clusterOpts{n: 2})
+	// Sent through both replicas, so one of them is always a non-owner.
+	body := `{"arch":"tpu","model":"bert","seq_len":1024,"system":"unfused"}`
+	for i, u := range h.urls {
+		if resp, data := post(t, u+"/v1/plan", body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("replica %d: status %d, want 400 (%s)", i, resp.StatusCode, data)
+		}
+	}
+	if forwards, _, _ := h.peerAccounting(t); forwards != 0 {
+		t.Fatalf("serve.peer.forwards = %d, want 0", forwards)
+	}
+}
+
 // A draining owner refuses peer fetches (503 on the internal route) so the
 // requester finishes locally; in-flight work on the drainer is unaffected.
 func TestClusterDrainingOwnerRefusesPeerFetches(t *testing.T) {

@@ -12,12 +12,14 @@ import (
 	"github.com/fusedmindlab/transfusion/internal/obs"
 )
 
-// FuzzServePlan throws arbitrary bodies at the /v1/plan decoder and handler:
-// malformed JSON, wrong field types, extreme extents, unknown fields. The
-// handler must never panic, must answer a well-formed JSON error with a 4xx
-// for anything invalid, and any 200 body must decode back into a
-// PlanResponse with a plausible result. Server caps are kept tiny so even a
-// "valid" fuzz input evaluates in microseconds.
+// FuzzServePlan throws arbitrary bodies at the shared plan-request decoder
+// through every route that uses it — /v1/plan, /v1/peer/plan and
+// /v1/peer/cached: malformed JSON, wrong field types, extreme extents,
+// unknown fields. No handler may panic; each must answer a well-formed JSON
+// error with a 4xx for anything invalid (a cache-only miss is a 404), and
+// any 200 body must decode back into a PlanResponse with a plausible
+// result. Server caps are kept tiny so even a "valid" fuzz input evaluates
+// in microseconds.
 func FuzzServePlan(f *testing.F) {
 	seeds := []string{
 		`{"arch":"edge","model":"bert","seq_len":1024,"system":"unfused"}`,
@@ -49,39 +51,41 @@ func FuzzServePlan(f *testing.F) {
 	handler := srv.Handler()
 
 	f.Fuzz(func(t *testing.T, body string) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req) // must not panic
+		for _, route := range []string{"/v1/plan", "/v1/peer/plan", "/v1/peer/cached"} {
+			req := httptest.NewRequest(http.MethodPost, route, strings.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, req) // must not panic
 
-		resp := rec.Result()
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("reading recorded body: %v", err)
-		}
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			var pr PlanResponse
-			if err := json.Unmarshal(data, &pr); err != nil {
-				t.Fatalf("200 body is not a PlanResponse: %v\n%s", err, data)
+			resp := rec.Result()
+			data, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s: reading recorded body: %v", route, err)
 			}
-			if pr.Result.Cycles <= 0 || pr.Result.System == "" {
-				t.Fatalf("200 with implausible result: %+v", pr.Result)
+			switch {
+			case resp.StatusCode == http.StatusOK:
+				var pr PlanResponse
+				if err := json.Unmarshal(data, &pr); err != nil {
+					t.Fatalf("%s: 200 body is not a PlanResponse: %v\n%s", route, err, data)
+				}
+				if pr.Result.Cycles <= 0 || pr.Result.System == "" {
+					t.Fatalf("%s: 200 with implausible result: %+v", route, pr.Result)
+				}
+			case resp.StatusCode >= 400 && resp.StatusCode < 500:
+				var er errorResponse
+				if err := json.Unmarshal(data, &er); err != nil {
+					t.Fatalf("%s: %d body is not an errorResponse: %v\n%s", route, resp.StatusCode, err, data)
+				}
+				if er.Status != resp.StatusCode || er.Error == "" {
+					t.Fatalf("%s: %d with inconsistent error body: %+v", route, resp.StatusCode, er)
+				}
+			default:
+				// No fuzz input should reach a 5xx: decoding and validation
+				// run before any evaluation, and the evaluation itself is
+				// bounded by the tiny caps above.
+				t.Fatalf("%s: unexpected status %d:\n%s", route, resp.StatusCode, data)
 			}
-		case resp.StatusCode >= 400 && resp.StatusCode < 500:
-			var er errorResponse
-			if err := json.Unmarshal(data, &er); err != nil {
-				t.Fatalf("%d body is not an errorResponse: %v\n%s", resp.StatusCode, err, data)
-			}
-			if er.Status != resp.StatusCode || er.Error == "" {
-				t.Fatalf("%d with inconsistent error body: %+v", resp.StatusCode, er)
-			}
-		default:
-			// No fuzz input should reach a 5xx: decoding and validation run
-			// before any evaluation, and the evaluation itself is bounded by
-			// the tiny caps above.
-			t.Fatalf("unexpected status %d:\n%s", resp.StatusCode, data)
 		}
 	})
 }

@@ -29,8 +29,7 @@
 //     ReadyDelay, for load balancers to stop routing) the listener closes
 //     and in-flight plans finish within the drain timeout.
 //
-// Endpoints: POST /v1/plan, POST /v1/compare, GET /healthz, GET /readyz,
-// GET /metrics, GET /debug/trace.
+// Endpoints are listed in Server.routes.
 package serve
 
 import (
@@ -251,19 +250,54 @@ func New(cfg Config, reg *obs.Registry, baseCtx context.Context) *Server {
 // retained).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	routes := []string{"/v1/plan", "/v1/compare", "/healthz", "/readyz", "/metrics", "/debug/trace", "/debug/requests"}
-	mux.HandleFunc("/v1/plan", s.handlePlan)
-	mux.HandleFunc("/v1/plan/batch", s.handlePlanBatch)
-	mux.HandleFunc("/v1/peer/plan", s.handlePeerPlan)
-	mux.HandleFunc("/v1/peer/cached", s.handlePeerCached)
-	mux.HandleFunc("/v1/compare", s.handleCompare)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/trace", s.handleTrace)
-	mux.HandleFunc("/debug/requests", s.handleRequests)
-	return obs.HTTPMetrics(s.reg, "serve.http", routes,
+	routes := s.routes()
+	paths := make([]string, len(routes))
+	for i, rt := range routes {
+		paths[i] = rt.path
+		h := rt.handle
+		if rt.post {
+			h = postOnly(h)
+		}
+		mux.HandleFunc(rt.path, h)
+	}
+	return obs.HTTPMetrics(s.reg, "serve.http", paths,
 		obs.HTTPTrace(s.cfg.Tracer, s.recoverPanics(mux)))
+}
+
+// route is one served endpoint. The table in routes is the single source
+// for the mux, the POST-only check, and the per-route latency histograms
+// (serve.http.latency.<path>).
+type route struct {
+	path   string
+	post   bool
+	handle http.HandlerFunc
+}
+
+func (s *Server) routes() []route {
+	return []route{
+		{"/v1/plan", true, s.handlePlan},
+		{"/v1/plan/batch", true, s.handlePlanBatch},
+		{"/v1/peer/plan", true, s.handlePeerPlan},
+		{"/v1/peer/cached", true, s.handlePeerCached},
+		{"/v1/compare", true, s.handleCompare},
+		{"/healthz", false, s.handleHealthz},
+		{"/readyz", false, s.handleReadyz},
+		{"/metrics", false, s.handleMetrics},
+		{"/debug/trace", false, s.handleTrace},
+		{"/debug/requests", false, s.handleRequests},
+	}
+}
+
+// postOnly answers 405 with an Allow header to anything but a POST.
+func postOnly(next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			w.Header().Set("Allow", http.MethodPost)
+			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Status: http.StatusMethodNotAllowed})
+			return
+		}
+		next(w, r)
+	}
 }
 
 // recoverPanics is the handler-level panic boundary: a panic escaping a
@@ -323,18 +357,11 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	return err
 }
 
-// PlanRequest is the POST /v1/plan body. Field semantics follow
-// transfusion.RunSpec; architecture files and custom models are not accepted
-// over the wire (unknown fields are rejected with 400).
-type PlanRequest struct {
-	Arch         string `json:"arch"`
-	Model        string `json:"model"`
-	SeqLen       int    `json:"seq_len"`
-	System       string `json:"system"`
-	Batch        int    `json:"batch,omitempty"`
-	SearchBudget int    `json:"search_budget,omitempty"`
-	Causal       bool   `json:"causal,omitempty"`
-}
+// PlanRequest is the POST /v1/plan body — the same type the client sends.
+// Field semantics follow transfusion.RunSpec; architecture files and custom
+// models are not accepted over the wire (unknown fields are rejected with
+// 400).
+type PlanRequest = client.PlanRequest
 
 // PlanResponse is the POST /v1/plan reply.
 type PlanResponse struct {
@@ -355,14 +382,9 @@ type PlanResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// CompareRequest is the POST /v1/compare body.
-type CompareRequest struct {
-	Arch         string `json:"arch"`
-	Model        string `json:"model"`
-	SeqLen       int    `json:"seq_len"`
-	Batch        int    `json:"batch,omitempty"`
-	SearchBudget int    `json:"search_budget,omitempty"`
-}
+// CompareRequest is the POST /v1/compare body — the same type the client
+// sends.
+type CompareRequest = client.CompareRequest
 
 // CompareResponse is the POST /v1/compare reply: all five systems in the
 // paper's comparison order (Unfused first).
@@ -395,7 +417,11 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 // Overload (503) carries a Retry-After computed from current queue depth and
 // the EWMA of recent plan latencies; internal errors feed the evaluator
 // circuit breaker behind /readyz.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
+func (s *Server) writeError(w http.ResponseWriter, err error) { s.writeErrorHint(w, err, nil) }
+
+// writeErrorHint is writeError with a warm hint riding in the body; see
+// errorResponse.
+func (s *Server) writeErrorHint(w http.ResponseWriter, err error, hint *transfusion.PlanSummary) {
 	status := faults.HTTPStatus(err)
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
@@ -409,7 +435,13 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	if status == http.StatusInternalServerError {
 		s.noteInternalError()
 	}
-	writeJSON(w, status, errorResponse{Error: msg, Status: status})
+	writeJSON(w, status, errorResponse{Error: msg, Status: status, WarmHint: hint})
+}
+
+// msSince is the elapsed_ms field of every response: time since start in
+// milliseconds at microsecond resolution.
+func msSince(start time.Time) float64 {
+	return float64(time.Since(start).Microseconds()) / 1e3
 }
 
 // observeLatency folds one plan evaluation's service time into the EWMA
@@ -503,6 +535,40 @@ func (s *Server) validateLimits(seqLen, budget int) error {
 	return nil
 }
 
+// decodePlan is the one request decoder of the plan routes (/v1/plan and
+// both peer routes): a strict JSON decode, then specOf.
+func (s *Server) decodePlan(r *http.Request) (transfusion.RunSpec, error) {
+	var req PlanRequest
+	if err := decodeStrict(r, &req); err != nil {
+		return transfusion.RunSpec{}, err
+	}
+	return s.specOf(req)
+}
+
+// specOf turns a wire request into a spec, rejecting it first against the
+// server's limits and then against RunSpec.Validate. A spec naming an
+// unknown arch, model or system is therefore refused with 400 before any
+// tier: it never touches the disk, the singleflight, admission, or a peer.
+func (s *Server) specOf(req PlanRequest) (transfusion.RunSpec, error) {
+	if err := s.validateLimits(req.SeqLen, req.SearchBudget); err != nil {
+		return transfusion.RunSpec{}, err
+	}
+	spec := transfusion.RunSpec{
+		Arch: req.Arch, Model: req.Model, SeqLen: req.SeqLen, System: req.System,
+		Batch: req.Batch, SearchBudget: req.SearchBudget, Causal: req.Causal,
+	}
+	return spec, spec.Validate()
+}
+
+// wireRequest is specOf's inverse: a forwardable spec as the peer-route
+// body.
+func wireRequest(spec transfusion.RunSpec) PlanRequest {
+	return PlanRequest{
+		Arch: spec.Arch, Model: spec.Model, SeqLen: spec.SeqLen, System: spec.System,
+		Batch: spec.Batch, SearchBudget: spec.SearchBudget, Causal: spec.Causal,
+	}
+}
+
 // Degradation-mode labels: exactly one serve.degraded.<mode> counter is
 // incremented per response carrying a Served-Degraded header, so the sum of
 // the serve.degraded.* counters always equals the number of degraded
@@ -572,87 +638,95 @@ const (
 	sourceSearch   = "search"
 )
 
-// sourceOf maps a doEval outcome onto a plan-source label: cached means the
-// in-memory cache answered inside Do (the entry landed between the peek and
-// the call, or the degraded key was already cached); anything else waited on
-// an evaluation.
-func sourceOf(cached bool) string {
-	if cached {
-		return sourceMemory
-	}
-	return sourceSearch
+// resolution is how one plan request was answered: the result, whether a
+// cache tier answered it without waiting on any evaluation, the canonical
+// key it was served under, the degradation mode ("" for a full-fidelity
+// answer), and the tier that answered (one of the source labels above).
+type resolution struct {
+	res    transfusion.RunResult
+	cached bool
+	key    string
+	mode   string
+	source string
 }
 
-// evalPlan resolves one spec through the ladder/cache/store/cluster/
-// admission stack, returning the result, whether it came from a cache tier
-// without waiting on any evaluation, the canonical key it was served under,
-// the degradation mode ("" for a full-fidelity answer), and the tier that
-// answered (memory|disk|peer|warm-search|search). reqCtx bounds only this
-// caller's wait; the evaluation itself runs under the server's own deadline
-// so a disconnecting client cannot kill coalesced peers, and its result is
-// cached for the retry even if nobody is left to read it. allowPeer gates
-// the cluster tier: the internal peer-fetch handler clears it so a fetch can
-// never re-forward (two replicas that momentarily disagree about ownership
-// during a topology change must degrade to local work, not loop).
+// answered records an evaluation outcome: a cache hit inside the cache's Do
+// (the entry landed between the peek and the call, or the degraded key was
+// already cached) is a memory answer; anything else keeps the source label
+// the evaluation ran under.
+func (r resolution) answered(res transfusion.RunResult, cached bool) resolution {
+	r.res, r.cached = res, cached
+	if cached {
+		r.source = sourceMemory
+	}
+	return r
+}
+
+// stampDegraded returns the Served-Degraded mode this answer contributes to
+// its response ("" for a full-fidelity answer) and, when the ladder or the
+// watchdog rather than the evaluation itself was the cause, sets the
+// result's Degraded/DegradedReason fields.
+func (r *resolution) stampDegraded() string {
+	switch {
+	case r.mode == "" && r.res.Degraded:
+		// The evaluation degraded internally (search timeout, budget
+		// exhaustion, infeasible space — or an injected search fault).
+		return degradeSearch
+	case r.mode != "" && !r.res.Degraded:
+		r.res.Degraded = true
+		r.res.DegradedReason = "served degraded under load (" + r.mode + " tier)"
+	}
+	return r.mode
+}
+
+// resolve answers one spec through the serving tiers, in order:
+//
+//  1. the memory cache, under the full-fidelity key whatever the load — a
+//     complete cached answer beats a freshly computed degraded one;
+//  2. the degradation ladder, which may rewrite the spec (and so its key);
+//  3. for a full-fidelity request only: the disk tier, then a peer fetch,
+//     then a warm hint for the search;
+//  4. the evaluation itself, under the watchdog (evaluate).
+//
+// reqCtx bounds only this caller's wait; the evaluation runs under the
+// server's own deadline so a disconnecting client cannot kill coalesced
+// peers, and its result is cached for the retry even if nobody is left to
+// read it. allowPeer gates the owner fetch: the internal peer-fetch handler
+// clears it so a fetch can never re-forward (two replicas that momentarily
+// disagree about ownership during a topology change must degrade to local
+// work, not loop).
 //
 // When the request carries a trace, the resolution gets a "plan.resolve"
 // span annotated with the outcome — which tier answered, the cache key, and
-// the degradation mode — so a slow or degraded response is attributable at a
-// glance in /debug/requests.
-func (s *Server) evalPlan(reqCtx context.Context, spec transfusion.RunSpec, allowPeer bool) (transfusion.RunResult, bool, string, string, string, error) {
+// the degradation mode — so a slow or degraded response is attributable at
+// a glance in /debug/requests.
+func (s *Server) resolve(reqCtx context.Context, spec transfusion.RunSpec, allowPeer bool) (r resolution, err error) {
 	ctx, sp := obs.StartSpan(reqCtx, "plan.resolve")
-	res, cached, key, mode, source, err := s.resolvePlan(ctx, spec, allowPeer)
 	if sp != nil {
-		sp.SetAttr("key", key)
-		sp.SetAttr("source", source)
-		sp.SetAttrBool("cached", cached)
-		if mode != "" {
-			sp.SetAttr("degrade_mode", mode)
-			sp.MarkDegraded()
-		}
-		sp.EndErr(err)
+		defer func() {
+			sp.SetAttr("key", r.key)
+			sp.SetAttr("source", r.source)
+			sp.SetAttrBool("cached", r.cached)
+			if r.mode != "" {
+				sp.SetAttr("degrade_mode", r.mode)
+				sp.MarkDegraded()
+			}
+			sp.EndErr(err)
+		}()
 	}
-	return res, cached, key, mode, source, err
-}
-
-// resolvePlan is evalPlan's body; see there for the contract.
-func (s *Server) resolvePlan(reqCtx context.Context, spec transfusion.RunSpec, allowPeer bool) (transfusion.RunResult, bool, string, string, string, error) {
 	spec.Parallelism = s.cfg.Parallelism
 	fullKey := spec.CanonicalKey()
-	// Peek the full-fidelity cache before consulting the ladder: a complete
-	// cached answer beats a freshly computed degraded one at any load.
-	_, memSp := obs.StartSpan(reqCtx, "cache.memory")
-	res, ok := s.cache.Get(fullKey)
-	memSp.SetAttrBool("hit", ok)
-	memSp.End()
-	if ok {
-		return res, true, fullKey, "", sourceMemory, nil
-	}
+	// A ladder-rewritten spec has its own canonical key (the budget and the
+	// HeuristicOnly flag are both part of CanonicalKey), so degraded results
+	// live in their own cache slots; they are never persisted, forwarded, or
+	// warm-seeded, so only a full-fidelity request reads the disk tier.
 	spec, mode := s.applyLadder(spec)
-	if sp := obs.SpanFromContext(reqCtx); sp != nil && mode != "" {
-		sp.SetAttr("ladder_mode", mode)
+	if res, src, ok := s.lookup(ctx, fullKey, mode == ""); ok {
+		return resolution{res: res, cached: true, key: fullKey, source: src}, nil
 	}
-	key := fullKey
 	if mode != "" {
-		key = spec.CanonicalKey()
-	}
-
-	// Disk tier: only full-fidelity keys can hit — degraded results are never
-	// persisted, so a ladder-rewritten key cannot exist on disk. A hit is
-	// promoted into the memory cache so the next request skips the disk.
-	// Every store failure (read fault, torn record, injected chaos) reports a
-	// clean miss and the request falls through to search. The store's own
-	// "store.read" span (it inherits the request span through diskCtx)
-	// carries the lookup's duration and error, so injected disk latency and
-	// faults are attributed to this tier in the trace.
-	if s.store != nil && mode == "" {
-		diskCtx, cancel := s.boundDiskCtx(reqCtx)
-		res, ok := s.store.Get(diskCtx, fullKey)
-		cancel()
-		if ok {
-			s.cache.Put(fullKey, res)
-			return res, true, fullKey, "", sourceDisk, nil
-		}
+		sp.SetAttr("ladder_mode", mode)
+		return s.evaluate(ctx, spec, resolution{key: spec.CanonicalKey(), mode: mode, source: sourceSearch})
 	}
 
 	// Peer tier: the consistent-hash ring names one replica the key's owner;
@@ -660,140 +734,101 @@ func (s *Server) resolvePlan(reqCtx context.Context, spec transfusion.RunSpec, a
 	// instead of searching, so the owner's singleflight makes each plan a
 	// compute-at-most-once resource cluster-wide. Any failure — partition,
 	// dead or draining owner, owner under load, injected chaos — falls
-	// through to the local search tiers below: the cluster is a work-sharing
-	// optimisation, never a correctness or availability dependency. A
-	// fetched plan fills the local memory cache and, asynchronously, the
-	// local disk tier. Owners refuse to ship degraded results (503), and a
-	// degraded body that arrives anyway is discarded, so degraded plans
-	// cannot cross replicas. Degraded (ladder-rewritten) requests and specs
+	// through to the local search below: the cluster is a work-sharing
+	// optimisation, never a correctness or availability dependency. Specs
 	// not expressible on the wire never forward.
 	//
 	// When this replica owns the key itself but the ring generation just
-	// moved ownership here, the remap path runs instead: one cache-only
+	// moved ownership here, the remap route runs instead: one cache-only
 	// fetch from the previous generation's owner, so a membership change
 	// costs at most one extra peer hop — not a cluster-wide re-search of
 	// every remapped key. The remap fetch is deliberately not gated on
 	// allowPeer: it is loop-free (the cache-only route never forwards or
 	// searches), so even an owner answering a peer fetch may take the hop.
-	//
-	// Either fetch that fails may still return the remote side's nearest
-	// stored recipe (peerHint); the warm tier below seeds the local search
-	// from it.
-	var peerHint *transfusion.PlanSummary
-	if cl := s.cfg.Cluster; cl != nil && mode == "" && !spec.HeuristicOnly &&
-		!s.draining.Load() && peerForwardable(spec) {
+	var hint *transfusion.PlanSummary
+	if cl := s.cfg.Cluster; cl != nil && !s.draining.Load() && peerForwardable(spec) {
+		var res transfusion.RunResult
+		ok := false
 		switch owner := cl.Owner(fullKey); {
 		case owner != "" && !cl.IsSelf(owner) && allowPeer:
-			res, hint, ok := s.peerFetch(reqCtx, owner, spec, fullKey)
-			if ok {
-				return res, false, fullKey, "", sourcePeer, nil
-			}
-			peerHint = hint
+			res, hint, ok = s.fetchPeer(ctx, ownerRoute, owner, spec, fullKey)
 		case owner != "" && cl.IsSelf(owner):
 			if prev := cl.PrevOwner(fullKey); prev != "" && cl.CanFetch(prev) {
-				res, hint, ok := s.remapFetch(reqCtx, prev, spec, fullKey)
-				if ok {
-					return res, false, fullKey, "", sourcePeer, nil
-				}
-				peerHint = hint
+				res, hint, ok = s.fetchPeer(ctx, remapRoute, prev, spec, fullKey)
 			}
+		}
+		if ok {
+			return resolution{res: res, key: fullKey, source: sourcePeer}, nil
 		}
 	}
 
-	// Warm tier: both exact tiers missed, so seed the search from the nearest
-	// stored plan in the same workload family (same arch/model/system and
-	// knobs, closest seq_len). The hint rides inside the spec — it is
-	// excluded from the canonical key, so the result still lands in the
-	// full-fidelity cache slot — and makes a near-miss request dramatically
-	// cheaper: the warm search is deterministic given the store's state,
-	// returns a full-fidelity result, and is never worse than the hint it
-	// started from. Degraded records are never persisted, so a hint can never
-	// carry degraded fidelity; heuristic-only requests run no search and have
-	// nothing to warm.
-	warmed := false
-	warmSrc := sourceWarm
-	if peerHint != nil && mode == "" && !spec.HeuristicOnly {
-		// A replica-aware warm hint from the failed peer fetch above beats
-		// consulting the local store: the remote owner's nearest neighbour is
-		// at least as close as ours (it owned this key family), and using it
-		// skips a disk scan on the request path.
-		spec.WarmHint = peerHint
-		warmed = true
-		warmSrc = sourcePeerWarm
+	// Warm tier: seed the search from the nearest stored plan in the same
+	// workload family (same arch/model/system and knobs, closest seq_len).
+	// A failed peer fetch's hint beats consulting the local store: the
+	// remote owner's nearest neighbour is at least as close as ours (it owned
+	// this key family), and using it skips a disk scan on the request path.
+	// The hint is excluded from the canonical key, so the result still lands
+	// in the full-fidelity slot; the warm search is deterministic given the
+	// hint and never worse than it. Degraded records are never persisted, so
+	// a hint never carries degraded fidelity.
+	source := sourceSearch
+	if hint != nil {
+		source = sourcePeerWarm
 		s.reg.Counter("serve.peer.warm_hints").Inc()
-		if sp := obs.SpanFromContext(reqCtx); sp != nil {
-			sp.SetAttr("warm_from", "peer")
-		}
-	} else if s.store != nil && mode == "" && !spec.HeuristicOnly {
-		diskCtx, cancel := s.boundDiskCtx(reqCtx)
-		ne, ok := s.store.Nearest(diskCtx, fullKey)
-		cancel()
-		if ok && ne.Result.Plan != nil {
-			spec.WarmHint = ne.Result.Plan
-			warmed = true
-			s.reg.Counter("serve.warm_hits").Inc()
-			if sp := obs.SpanFromContext(reqCtx); sp != nil {
-				sp.SetAttr("warm_from", ne.Key)
-			}
-		}
+		sp.SetAttr("warm_from", "peer")
+	} else if from, near := s.nearest(ctx, fullKey); near != nil {
+		hint, source = near, sourceWarm
+		s.reg.Counter("serve.warm_hits").Inc()
+		sp.SetAttr("warm_from", from)
 	}
-	// src maps a doEval outcome to the plan-source label, distinguishing a
-	// warm-seeded evaluation (and which side supplied the hint) from a cold
-	// one; a cache hit inside Do is a memory answer regardless of the hint.
-	src := func(cached bool) string {
-		if !cached && warmed {
-			return warmSrc
-		}
-		return sourceOf(cached)
-	}
+	spec.WarmHint = hint
+	return s.evaluate(ctx, spec, resolution{key: fullKey, source: source})
+}
 
-	if s.cfg.WatchdogTimeout <= 0 {
-		res, cached, err := s.doEval(reqCtx, spec, key)
-		return res, cached, key, mode, src(cached), err
-	}
-
+// evaluate runs spec through the cache/admission stack under the watchdog.
+// r carries the key, the degradation mode, and the source label an uncached
+// evaluation answers under; evaluate fills in the outcome.
+//
+// When the watchdog fires first it serves a heuristic-only answer instead of
+// letting the caller ride the request deadline into a 504. The stuck
+// evaluation keeps running in the background, bounded by RequestTimeout,
+// and lands in the cache under its own key if it ever completes. The
+// fallback bypasses admission deliberately — the pool's slots may be wedged
+// by the very evaluations the watchdog is routing around, and the heuristic
+// path is bounded, cheap work. A heuristic-only spec already is that
+// fallback, so it has no watchdog and rides its evaluation out.
+func (s *Server) evaluate(reqCtx context.Context, spec transfusion.RunSpec, r resolution) (resolution, error) {
 	type evalOut struct {
 		res    transfusion.RunResult
 		cached bool
 		err    error
 	}
 	done := make(chan evalOut, 1)
+	key := r.key
 	go func() {
-		r, c, err := s.doEval(reqCtx, spec, key)
-		done <- evalOut{res: r, cached: c, err: err}
+		res, cached, err := s.doEval(reqCtx, spec, key)
+		done <- evalOut{res, cached, err}
 	}()
-	watchdog := time.NewTimer(s.cfg.WatchdogTimeout)
-	defer watchdog.Stop()
+	var fired <-chan time.Time
+	if s.cfg.WatchdogTimeout > 0 && !spec.HeuristicOnly {
+		watchdog := time.NewTimer(s.cfg.WatchdogTimeout)
+		defer watchdog.Stop()
+		fired = watchdog.C
+	}
 	select {
 	case o := <-done:
-		return o.res, o.cached, key, mode, src(o.cached), o.err
+		return r.answered(o.res, o.cached), o.err
 	case <-reqCtx.Done():
-		return transfusion.RunResult{}, false, key, mode, sourceSearch, faults.Canceled(reqCtx)
-	case <-watchdog.C:
+		r.source = sourceSearch
+		return r, faults.Canceled(reqCtx)
+	case <-fired:
 	}
-	if spec.HeuristicOnly {
-		// The stuck evaluation already is the heuristic-only fallback; there
-		// is nothing cheaper to step down to, so ride it out.
-		select {
-		case o := <-done:
-			return o.res, o.cached, key, mode, src(o.cached), o.err
-		case <-reqCtx.Done():
-			return transfusion.RunResult{}, false, key, mode, sourceSearch, faults.Canceled(reqCtx)
-		}
-	}
-	// Watchdog fired: serve a heuristic-only answer now instead of letting
-	// the caller ride the request deadline into a 504. The stuck evaluation
-	// keeps running in the background, bounded by RequestTimeout, and lands
-	// in the cache under its own key if it ever completes. The fallback
-	// bypasses admission deliberately — the pool's slots may be wedged by the
-	// very evaluations the watchdog is routing around, and the heuristic path
-	// is bounded, cheap work.
 	s.reg.Counter("serve.watchdog_fires").Inc()
 	obs.SpanFromContext(reqCtx).Event("watchdog.fired")
 	fspec := spec
 	fspec.HeuristicOnly = true
-	fkey := fspec.CanonicalKey()
-	wdRes, wdCached, err := s.cache.Do(reqCtx, fkey, true, func() (transfusion.RunResult, error) {
+	r.key, r.source = fspec.CanonicalKey(), sourceSearch
+	res, cached, err := s.cache.Do(reqCtx, r.key, true, func() (transfusion.RunResult, error) {
 		evalCtx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
 		defer cancel()
 		var wdSp *obs.Span
@@ -801,14 +836,130 @@ func (s *Server) resolvePlan(reqCtx context.Context, spec transfusion.RunSpec, a
 			evalCtx = obs.ContextWithSpan(evalCtx, sp)
 			evalCtx, wdSp = obs.StartSpan(evalCtx, "plan.watchdog_rescue")
 		}
-		r, err := transfusion.RunContext(evalCtx, fspec)
+		res, err := transfusion.RunContext(evalCtx, fspec)
 		wdSp.EndErr(err)
-		return r, err
+		return res, err
 	})
 	if err != nil {
-		return transfusion.RunResult{}, false, fkey, mode, sourceSearch, err
+		return r, err
 	}
-	return wdRes, wdCached, fkey, degradeWatchdog, sourceOf(wdCached), nil
+	r.mode = degradeWatchdog
+	return r.answered(res, cached), nil
+}
+
+// lookup answers key from the exact tiers — the memory cache, then, with
+// disk set, the disk tier — and names the tier that hit. A disk hit is
+// promoted into memory so the next request skips the disk. Every store
+// failure (read fault, torn record, injected chaos) reports a clean miss.
+// The store's own "store.read" span (it inherits the request span through
+// boundDiskCtx) carries the lookup's duration and error, so injected disk
+// latency and faults are attributed to this tier in the trace.
+func (s *Server) lookup(ctx context.Context, key string, disk bool) (transfusion.RunResult, string, bool) {
+	_, sp := obs.StartSpan(ctx, "cache.memory")
+	res, ok := s.cache.Get(key)
+	sp.SetAttrBool("hit", ok)
+	sp.End()
+	if ok || !disk || s.store == nil {
+		return res, sourceMemory, ok
+	}
+	diskCtx, cancel := s.boundDiskCtx(ctx)
+	defer cancel()
+	if res, ok = s.store.Get(diskCtx, key); ok {
+		s.cache.Put(key, res)
+	}
+	return res, sourceDisk, ok
+}
+
+// nearest returns the nearest stored recipe for key, and the key it is
+// stored under, for use as a warm hint. Store absence, misses, and disk
+// faults all report a nil hint — hints are an optimisation, never an
+// obligation. Nearest never returns a degraded or plan-less record, so a
+// hint is always a full-fidelity seed.
+func (s *Server) nearest(ctx context.Context, key string) (string, *transfusion.PlanSummary) {
+	if s.store == nil {
+		return "", nil
+	}
+	diskCtx, cancel := s.boundDiskCtx(ctx)
+	defer cancel()
+	ne, ok := s.store.Nearest(diskCtx, key)
+	if !ok || ne.Result.Plan == nil {
+		return "", nil
+	}
+	return ne.Key, ne.Result.Plan
+}
+
+// peerRoute is everything that tells the two peer fetches apart: the span
+// and its peer attribute, the client call, and the counters (fallbacks ""
+// when the route keeps none).
+type peerRoute struct {
+	span, peerAttr         string
+	tries, hits, fallbacks string
+	fetch                  func(*cluster.Cluster, context.Context, string, PlanRequest) (*client.PlanResponse, error)
+}
+
+var (
+	// ownerRoute asks the key's owner for the plan over /v1/peer/plan; the
+	// owner may search. serve.peer.hits + serve.peer.fallbacks always sums
+	// to serve.peer.forwards.
+	ownerRoute = peerRoute{"cluster.fetch", "owner",
+		"serve.peer.forwards", "serve.peer.hits", "serve.peer.fallbacks", (*cluster.Cluster).Fetch}
+	// remapRoute is the one-hop previous-owner protocol over
+	// /v1/peer/cached: this replica owns the key under the current ring
+	// generation, but the previous generation named another owner, so that
+	// replica's caches — not a local search — are the cheapest place the
+	// plan can be. The remote side never searches or forwards on that route.
+	// After the first hop the plan (fetched or searched) is in the local
+	// cache, so the hop never repeats for the key.
+	remapRoute = peerRoute{"cluster.remap", "prev_owner",
+		"cluster.remap.fetches", "cluster.remap.hits", "", (*cluster.Cluster).FetchCached}
+)
+
+// fetchPeer fetches the plan for fullKey from peer over route, returning
+// (result, nil, true) on a usable full-fidelity answer. It runs under its
+// own timeout derived from the server's base context — like the disk tier,
+// it must not consume the whole request deadline, and it must carry the
+// chaos injector so the serve.peer.fetch site can strike. The bound is the
+// cluster's per-peer timeout: flat normally, clamped down by the prober's
+// latency EWMA for a peer known to be running slow. The fetched result
+// fills the local memory cache immediately and the local disk tier
+// asynchronously (off the request path), so subsequent requests for the key
+// on this replica answer locally. On any failure it reports (zero, hint,
+// false) — hint carrying the peer's nearest stored recipe when its refusal
+// included one — and the caller falls through to local search.
+func (s *Server) fetchPeer(reqCtx context.Context, route peerRoute, peer string, spec transfusion.RunSpec, fullKey string) (transfusion.RunResult, *transfusion.PlanSummary, bool) {
+	s.reg.Counter(route.tries).Inc()
+	cl := s.cfg.Cluster
+	ctx, cancel := context.WithTimeout(s.baseCtx, cl.PeerTimeout(peer))
+	defer cancel()
+	if sp := obs.SpanFromContext(reqCtx); sp != nil {
+		ctx = obs.ContextWithSpan(ctx, sp)
+	}
+	ctx, sp := obs.StartSpan(ctx, route.span)
+	sp.SetAttr(route.peerAttr, peer)
+	var resp *client.PlanResponse
+	err := chaos.SiteFrom(ctx, chaos.SiteServePeerFetch).Strike(ctx)
+	if err == nil {
+		resp, err = route.fetch(cl, ctx, peer, wireRequest(spec))
+	}
+	if err == nil && resp.Result.Degraded {
+		// Peers answer 503 rather than ship a degraded plan; a body that
+		// carries one anyway (a version-skewed or misbehaving peer) is
+		// treated as a failed fetch so it can never enter a local cache.
+		err = faults.Invalidf("serve: peer %s returned a degraded result", peer)
+	}
+	if err != nil {
+		if route.fallbacks != "" {
+			s.reg.Counter(route.fallbacks).Inc()
+		}
+		sp.EndErr(err)
+		return transfusion.RunResult{}, hintFrom(err), false
+	}
+	s.reg.Counter(route.hits).Inc()
+	sp.SetAttr("peer_source", resp.Source)
+	sp.End()
+	s.cache.Put(fullKey, resp.Result)
+	s.storeFillAsync(ctx, fullKey, resp.Result)
+	return resp.Result, nil, true
 }
 
 // boundDiskCtx derives the context for an on-request-path disk read: the
@@ -839,14 +990,6 @@ func peerForwardable(spec transfusion.RunSpec) bool {
 	return spec.ArchFile == "" && spec.CustomModel == nil
 }
 
-// wireRequest expresses a forwardable spec as the peer-route body.
-func wireRequest(spec transfusion.RunSpec) client.PlanRequest {
-	return client.PlanRequest{
-		Arch: spec.Arch, Model: spec.Model, SeqLen: spec.SeqLen, System: spec.System,
-		Batch: spec.Batch, SearchBudget: spec.SearchBudget, Causal: spec.Causal,
-	}
-}
-
 // hintFrom extracts the replica-aware warm hint, if any, from a failed peer
 // call: the remote side attaches its store.Nearest recipe to refusals and
 // cache-only misses.
@@ -856,94 +999,6 @@ func hintFrom(err error) *transfusion.PlanSummary {
 		return apiErr.WarmHint
 	}
 	return nil
-}
-
-// peerFetch asks the key's owner for the plan over the internal peer RPC,
-// returning (result, nil, true) on a usable full-fidelity answer. It runs
-// under its own timeout derived from the server's base context — like the
-// disk tier, it must not consume the whole request deadline, and it must
-// carry the chaos injector so the serve.peer.fetch site can strike. The
-// bound is the cluster's per-peer timeout: flat normally, clamped down by
-// the prober's latency EWMA for a peer known to be running slow. The
-// fetched result fills the local memory cache immediately and the local
-// disk tier asynchronously (off the request path), so subsequent requests
-// for the key on this replica answer locally. On any failure it reports
-// (zero, hint, false) — hint carrying the owner's nearest stored recipe
-// when the refusal included one — and the caller falls through to local
-// search: serve.peer.hits + serve.peer.fallbacks always sums to
-// serve.peer.forwards.
-func (s *Server) peerFetch(reqCtx context.Context, owner string, spec transfusion.RunSpec, fullKey string) (transfusion.RunResult, *transfusion.PlanSummary, bool) {
-	s.reg.Counter("serve.peer.forwards").Inc()
-	cl := s.cfg.Cluster
-	ctx, cancel := context.WithTimeout(s.baseCtx, cl.PeerTimeout(owner))
-	defer cancel()
-	if sp := obs.SpanFromContext(reqCtx); sp != nil {
-		ctx = obs.ContextWithSpan(ctx, sp)
-	}
-	ctx, sp := obs.StartSpan(ctx, "cluster.fetch")
-	sp.SetAttr("owner", owner)
-	var resp *client.PlanResponse
-	err := chaos.SiteFrom(ctx, chaos.SiteServePeerFetch).Strike(ctx)
-	if err == nil {
-		resp, err = cl.Fetch(ctx, owner, wireRequest(spec))
-	}
-	if err == nil && resp.Result.Degraded {
-		// Owners answer 503 rather than ship a degraded plan; a body that
-		// carries one anyway (a version-skewed or misbehaving peer) is
-		// treated as a failed fetch so it can never enter a local cache.
-		err = faults.Invalidf("serve: peer %s returned a degraded result", owner)
-	}
-	if err != nil {
-		s.reg.Counter("serve.peer.fallbacks").Inc()
-		sp.EndErr(err)
-		return transfusion.RunResult{}, hintFrom(err), false
-	}
-	s.reg.Counter("serve.peer.hits").Inc()
-	sp.SetAttr("peer_source", resp.Source)
-	sp.End()
-	s.cache.Put(fullKey, resp.Result)
-	s.storeFillAsync(ctx, fullKey, resp.Result)
-	return resp.Result, nil, true
-}
-
-// remapFetch is the one-hop previous-owner protocol: this replica owns
-// fullKey under the current ring generation, but the previous generation's
-// ring named prev the owner — so prev's caches, not a local search, are the
-// cheapest place the plan can be. One cache-only fetch (the remote side
-// never searches or forwards on that route) either adopts the plan here or
-// falls through to the local search, converting a membership change into at
-// most one extra peer hop per key instead of a cold-search stampede. After
-// the first hop the plan (fetched or searched) is in the local cache, so
-// the hop never repeats for the key. Counters: cluster.remap.fetches per
-// attempt, cluster.remap.hits per adopted plan.
-func (s *Server) remapFetch(reqCtx context.Context, prev string, spec transfusion.RunSpec, fullKey string) (transfusion.RunResult, *transfusion.PlanSummary, bool) {
-	s.reg.Counter("cluster.remap.fetches").Inc()
-	cl := s.cfg.Cluster
-	ctx, cancel := context.WithTimeout(s.baseCtx, cl.PeerTimeout(prev))
-	defer cancel()
-	if sp := obs.SpanFromContext(reqCtx); sp != nil {
-		ctx = obs.ContextWithSpan(ctx, sp)
-	}
-	ctx, sp := obs.StartSpan(ctx, "cluster.remap")
-	sp.SetAttr("prev_owner", prev)
-	var resp *client.PlanResponse
-	err := chaos.SiteFrom(ctx, chaos.SiteServePeerFetch).Strike(ctx)
-	if err == nil {
-		resp, err = cl.FetchCached(ctx, prev, wireRequest(spec))
-	}
-	if err == nil && resp.Result.Degraded {
-		err = faults.Invalidf("serve: peer %s returned a degraded result", prev)
-	}
-	if err != nil {
-		sp.EndErr(err)
-		return transfusion.RunResult{}, hintFrom(err), false
-	}
-	s.reg.Counter("cluster.remap.hits").Inc()
-	sp.SetAttr("peer_source", resp.Source)
-	sp.End()
-	s.cache.Put(fullKey, resp.Result)
-	s.storeFillAsync(ctx, fullKey, resp.Result)
-	return resp.Result, nil, true
 }
 
 // WarmGrid precomputes plans for gaps in the store's seq-length grid, warm-
@@ -1002,22 +1057,10 @@ func (s *Server) WarmGrid(ctx context.Context, maxPlans int) int {
 func (s *Server) warmGridPlan(ctx context.Context, spec transfusion.RunSpec) bool {
 	spec.Parallelism = s.cfg.Parallelism
 	key := spec.CanonicalKey()
-	if _, ok := s.cache.Get(key); ok {
+	if _, _, ok := s.lookup(ctx, key, true); ok {
 		return false
 	}
-	getCtx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
-	res, ok := s.store.Get(getCtx, key)
-	cancel()
-	if ok {
-		s.cache.Put(key, res)
-		return false
-	}
-	neCtx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
-	ne, ok := s.store.Nearest(neCtx, key)
-	cancel()
-	if ok {
-		spec.WarmHint = ne.Result.Plan
-	}
+	_, spec.WarmHint = s.nearest(ctx, key)
 	evalCtx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
 	defer cancel()
 	res, err := transfusion.RunContext(evalCtx, spec)
@@ -1109,43 +1152,37 @@ func (s *Server) doEval(reqCtx context.Context, spec transfusion.RunSpec, key st
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Status: http.StatusMethodNotAllowed})
-		return
-	}
 	start := time.Now()
-	var req PlanRequest
-	if err := decodeStrict(r, &req); err != nil {
-		s.writeError(w, err)
-		return
+	spec, err := s.decodePlan(r)
+	var res resolution
+	if err == nil {
+		res, err = s.resolve(r.Context(), spec, true)
 	}
-	if err := s.validateLimits(req.SeqLen, req.SearchBudget); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	spec := transfusion.RunSpec{
-		Arch: req.Arch, Model: req.Model, SeqLen: req.SeqLen, System: req.System,
-		Batch: req.Batch, SearchBudget: req.SearchBudget, Causal: req.Causal,
-	}
-	res, cached, key, mode, source, err := s.evalPlan(r.Context(), spec, true)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	w.Header().Set("X-Plan-Source", source)
-	s.markDegraded(r.Context(), w, &res, mode)
+	if mode := res.stampDegraded(); mode != "" {
+		s.markDegraded(r.Context(), w, mode)
+	}
 	s.noteSuccess()
+	writePlan(w, start, res)
+}
+
+// writePlan answers a plan route with res, mirroring its tier in the
+// X-Plan-Source header.
+func writePlan(w http.ResponseWriter, start time.Time, res resolution) {
+	w.Header().Set("X-Plan-Source", res.source)
 	writeJSON(w, http.StatusOK, PlanResponse{
-		Result: res, Cached: cached, Key: key, Source: source,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
+		Result: res.res, Cached: res.cached, Key: res.key, Source: res.source,
+		ElapsedMS: msSince(start),
 	})
 }
 
 // handlePeerPlan answers the internal peer-fetch route (/v1/peer/plan): a
 // sibling replica that does not own a key forwards the request here so this
 // replica's singleflight computes the plan once for the whole cluster. The
-// contract differs from /v1/plan in two ways. First, evalPlan runs with
+// contract differs from /v1/plan in two ways. First, resolve runs with
 // allowPeer=false — an owner never re-forwards, so topology disagreement
 // during a membership change can bounce a request at most once. Second,
 // degraded results never cross replicas: while draining, while the local
@@ -1154,24 +1191,11 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 // degraded plan in a peer response would otherwise be cached remotely and
 // outlive the load spike that caused it.
 func (s *Server) handlePeerPlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Status: http.StatusMethodNotAllowed})
-		return
-	}
 	start := time.Now()
-	var req PlanRequest
-	if err := decodeStrict(r, &req); err != nil {
+	spec, err := s.decodePlan(r)
+	if err != nil {
 		s.writeError(w, err)
 		return
-	}
-	if err := s.validateLimits(req.SeqLen, req.SearchBudget); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	spec := transfusion.RunSpec{
-		Arch: req.Arch, Model: req.Model, SeqLen: req.SeqLen, System: req.System,
-		Batch: req.Batch, SearchBudget: req.SearchBudget, Causal: req.Causal,
 	}
 	fullKey := spec.CanonicalKey()
 	if s.draining.Load() {
@@ -1182,22 +1206,18 @@ func (s *Server) handlePeerPlan(w http.ResponseWriter, r *http.Request) {
 		s.peerRefuse(w, r.Context(), fullKey, faults.Overloadedf("serve: overloaded; peer fetch would degrade"))
 		return
 	}
-	res, cached, key, mode, source, err := s.evalPlan(r.Context(), spec, false)
+	res, err := s.resolve(r.Context(), spec, false)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if mode != "" || res.Degraded {
+	if res.mode != "" || res.res.Degraded {
 		s.peerRefuse(w, r.Context(), fullKey, faults.Overloadedf("serve: degraded result withheld from peer fetch"))
 		return
 	}
 	s.reg.Counter("serve.peer.serves").Inc()
 	s.noteSuccess()
-	w.Header().Set("X-Plan-Source", source)
-	writeJSON(w, http.StatusOK, PlanResponse{
-		Result: res, Cached: cached, Key: key, Source: source,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
-	})
+	writePlan(w, start, res)
 }
 
 // peerRefuse answers a peer route with a refusal that still helps: alongside
@@ -1206,31 +1226,8 @@ func (s *Server) handlePeerPlan(w http.ResponseWriter, r *http.Request) {
 // start warm. Counted in serve.peer.rejects like every peer refusal.
 func (s *Server) peerRefuse(w http.ResponseWriter, ctx context.Context, fullKey string, err error) {
 	s.reg.Counter("serve.peer.rejects").Inc()
-	status := faults.HTTPStatus(err)
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	}
-	writeJSON(w, status, errorResponse{
-		Error: err.Error(), Status: status, WarmHint: s.nearestHint(ctx, fullKey),
-	})
-}
-
-// nearestHint looks up the nearest stored recipe for fullKey for use as a
-// replica-aware warm hint. Store absence, misses, and disk faults all report
-// nil — hints are an optimisation, never an obligation. Nearest never
-// returns a degraded or plan-less record, so a hint is always a full-
-// fidelity seed.
-func (s *Server) nearestHint(reqCtx context.Context, fullKey string) *transfusion.PlanSummary {
-	if s.store == nil {
-		return nil
-	}
-	diskCtx, cancel := s.boundDiskCtx(reqCtx)
-	defer cancel()
-	ne, ok := s.store.Nearest(diskCtx, fullKey)
-	if !ok || ne.Result.Plan == nil {
-		return nil
-	}
-	return ne.Result.Plan
+	_, hint := s.nearest(ctx, fullKey)
+	s.writeErrorHint(w, err, hint)
 }
 
 // handlePeerCached answers the cache-only peer route (/v1/peer/cached): the
@@ -1243,142 +1240,75 @@ func (s *Server) nearestHint(reqCtx context.Context, fullKey string) *transfusio
 // while draining: it is bounded read-only work, and the draining replica's
 // caches are exactly what the surviving owners need to take over its keys.
 func (s *Server) handlePeerCached(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Status: http.StatusMethodNotAllowed})
-		return
-	}
 	start := time.Now()
-	var req PlanRequest
-	if err := decodeStrict(r, &req); err != nil {
+	spec, err := s.decodePlan(r)
+	if err != nil {
 		s.writeError(w, err)
 		return
-	}
-	if err := s.validateLimits(req.SeqLen, req.SearchBudget); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	spec := transfusion.RunSpec{
-		Arch: req.Arch, Model: req.Model, SeqLen: req.SeqLen, System: req.System,
-		Batch: req.Batch, SearchBudget: req.SearchBudget, Causal: req.Causal,
 	}
 	fullKey := spec.CanonicalKey()
-	answer := func(res transfusion.RunResult, source string) {
+	if res, source, ok := s.lookup(r.Context(), fullKey, true); ok && !res.Degraded {
 		s.reg.Counter("serve.peer.cached.hits").Inc()
-		w.Header().Set("X-Plan-Source", source)
-		writeJSON(w, http.StatusOK, PlanResponse{
-			Result: res, Cached: true, Key: fullKey, Source: source,
-			ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
-		})
-	}
-	if res, ok := s.cache.Get(fullKey); ok && !res.Degraded {
-		answer(res, sourceMemory)
+		writePlan(w, start, resolution{res: res, cached: true, key: fullKey, source: source})
 		return
 	}
-	if s.store != nil {
-		diskCtx, cancel := s.boundDiskCtx(r.Context())
-		res, ok := s.store.Get(diskCtx, fullKey)
-		cancel()
-		if ok && !res.Degraded {
-			s.cache.Put(fullKey, res)
-			answer(res, sourceDisk)
-			return
-		}
-	}
 	s.reg.Counter("serve.peer.cached.misses").Inc()
+	_, hint := s.nearest(r.Context(), fullKey)
 	writeJSON(w, http.StatusNotFound, errorResponse{
-		Error:  "serve: no cached plan for " + fullKey,
-		Status: http.StatusNotFound, WarmHint: s.nearestHint(r.Context(), fullKey),
+		Error: "serve: no cached plan for " + fullKey, Status: http.StatusNotFound, WarmHint: hint,
 	})
 }
 
-// markDegraded stamps a response that was served below full fidelity: the
-// Served-Degraded header names the mode, exactly one serve.degraded.<mode>
-// counter is incremented (so the counters' sum equals the number of degraded
-// responses on the wire), and the result's Degraded/DegradedReason fields are
-// set when the ladder — rather than the evaluation itself — was the cause.
-// mode "" with an undegraded result is the full-fidelity fast path: no
-// header, no counter. A degraded response also marks the request's trace
-// degraded, which guarantees its retention in the tracer's tail-sampling
-// ring.
-func (s *Server) markDegraded(ctx context.Context, w http.ResponseWriter, res *transfusion.RunResult, mode string) {
-	if mode == "" {
-		if !res.Degraded {
-			return
-		}
-		// The evaluation degraded internally (search timeout, budget
-		// exhaustion, infeasible space — or an injected search fault).
-		mode = degradeSearch
-	}
-	if !res.Degraded {
-		res.Degraded = true
-		res.DegradedReason = "served degraded under load (" + mode + " tier)"
-	}
-	s.markDegradedResponse(ctx, w, mode)
-}
-
-// markDegradedResponse applies the on-the-wire degradation stamp shared by
-// every handler: trace marked for tail-sampling retention, Served-Degraded
-// header, and exactly one serve.degraded.<mode> counter increment per
-// response.
-func (s *Server) markDegradedResponse(ctx context.Context, w http.ResponseWriter, mode string) {
+// markDegraded applies the on-the-wire stamp of a response served below
+// full fidelity (see resolution.stampDegraded for the mode): the trace is
+// marked for tail-sampling retention, the Served-Degraded header names the
+// mode, and exactly one serve.degraded.<mode> counter is incremented per
+// response — however many answers behind it degraded — so the counters'
+// sum equals the number of degraded responses on the wire.
+func (s *Server) markDegraded(ctx context.Context, w http.ResponseWriter, mode string) {
 	obs.SpanFromContext(ctx).MarkDegraded()
 	w.Header().Set("Served-Degraded", mode)
 	s.reg.Counter("serve.degraded." + mode).Inc()
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Status: http.StatusMethodNotAllowed})
-		return
-	}
 	start := time.Now()
 	var req CompareRequest
 	if err := decodeStrict(r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if err := s.validateLimits(req.SeqLen, req.SearchBudget); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	// Route each system through the same cache/admission stack as /v1/plan,
-	// so a compare shares evaluations with plans (and other compares) of the
-	// same workload.
+	// Route each system through the same decoder checks and tiers as
+	// /v1/plan, so a compare shares evaluations with plans (and other
+	// compares) of the same workload.
 	resp := CompareResponse{Results: make([]transfusion.RunResult, 0, 5)}
 	degradeMode := ""
-	anyDegraded := false
 	for _, name := range transfusion.SystemNames() {
-		spec := transfusion.RunSpec{
+		spec, err := s.specOf(PlanRequest{
 			Arch: req.Arch, Model: req.Model, SeqLen: req.SeqLen, System: name,
 			Batch: req.Batch, SearchBudget: req.SearchBudget,
+		})
+		var res resolution
+		if err == nil {
+			res, err = s.resolve(r.Context(), spec, true)
 		}
-		res, cached, _, mode, _, err := s.evalPlan(r.Context(), spec, true)
 		if err != nil {
 			s.writeError(w, err)
 			return
 		}
-		if cached {
+		if res.cached {
 			resp.CachedResults++
 		}
-		if mode != "" && degradeMode == "" {
+		if mode := res.stampDegraded(); mode != "" && degradeMode == "" {
 			degradeMode = mode
 		}
-		anyDegraded = anyDegraded || res.Degraded
-		resp.Results = append(resp.Results, res)
+		resp.Results = append(resp.Results, res.res)
 	}
-	// One header and one counter per response, whatever mix of the five
-	// evaluations degraded — the counter/header invariant is per response on
-	// the wire, not per evaluation behind it.
-	if degradeMode != "" || anyDegraded {
-		if degradeMode == "" {
-			degradeMode = degradeSearch
-		}
-		s.markDegradedResponse(r.Context(), w, degradeMode)
+	if degradeMode != "" {
+		s.markDegraded(r.Context(), w, degradeMode)
 	}
 	s.noteSuccess()
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
+	resp.ElapsedMS = msSince(start)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -1467,7 +1397,9 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves the Chrome trace_event export of the DPipe schedules for
-// a workload: GET /debug/trace?arch=edge&model=bert&seq=4096&epochs=6.
+// a workload: GET /debug/trace?arch=edge&model=bert&seq=4096&epochs=6. Each
+// export plans DPipe schedules, so it takes an evaluation slot like a plan
+// does and is shed the same way (503 + Retry-After) when the pool is full.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	seq, err := strconv.Atoi(strings.TrimSpace(q.Get("seq")))
@@ -1487,7 +1419,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	if err := s.adm.acquire(ctx); err != nil {
+		s.writeError(w, err)
+		return
+	}
 	data, err := transfusion.ChromeTraceSchedule(q.Get("arch"), q.Get("model"), seq, epochs)
+	s.adm.release()
 	if err != nil {
 		s.writeError(w, err)
 		return

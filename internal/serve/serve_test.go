@@ -370,3 +370,97 @@ func TestServeGracefulShutdownDrainsInFlight(t *testing.T) {
 		t.Fatal("server did not mark itself draining")
 	}
 }
+
+// A spec naming an unknown arch, model or system is refused with 400 before
+// any tier: even with the only evaluation slot held and queueing disabled
+// (where an admitted request would be shed with 503), every plan route
+// answers 400 without a Retry-After, and no disk lookup, singleflight
+// leader, or shed is recorded.
+func TestMalformedSpecRejectedBeforeTiers(t *testing.T) {
+	s, ts, reg := storeTestServer(t, Config{MaxConcurrent: 1, MaxQueue: -1}, t.TempDir(), true, "")
+	s.adm.sem <- struct{}{}
+	defer func() { <-s.adm.sem }()
+
+	bodies := []string{
+		`{"arch":"tpu","model":"bert","seq_len":1024,"system":"unfused"}`,
+		`{"arch":"edge","model":"gpt9","seq_len":1024,"system":"unfused"}`,
+		`{"arch":"edge","model":"bert","seq_len":1024,"system":"magic"}`,
+	}
+	for _, route := range []string{"/v1/plan", "/v1/peer/plan", "/v1/peer/cached"} {
+		for _, body := range bodies {
+			resp, data := post(t, ts.URL+route, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %s: status %d, want 400 (%s)", route, body, resp.StatusCode, data)
+			}
+			if ra := resp.Header.Get("Retry-After"); ra != "" {
+				t.Fatalf("%s %s: 400 carries Retry-After %q", route, body, ra)
+			}
+		}
+	}
+	resp, data := post(t, ts.URL+"/v1/compare", `{"arch":"tpu","model":"bert","seq_len":1024}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("compare: status %d, want 400 (%s)", resp.StatusCode, data)
+	}
+	resp, data = post(t, ts.URL+"/v1/plan/batch", `{"requests":[`+bodies[0]+`]}`)
+	var br BatchPlanResponse
+	if err := json.Unmarshal(data, &br); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, body %s (%v)", resp.StatusCode, data, err)
+	}
+	if e := br.Entries[0]; e.Status != http.StatusBadRequest {
+		t.Fatalf("batch entry status %d, want 400 (%s)", e.Status, e.Error)
+	}
+	for _, name := range []string{"store.misses", "serve.cache_misses", "serve.shed"} {
+		if n := reg.Counter(name).Value(); n != 0 {
+			t.Errorf("%s = %d, want 0: a malformed spec reached a tier", name, n)
+		}
+	}
+}
+
+// /debug/trace plans DPipe schedules, so it takes an admission slot: a
+// saturated pool with queueing disabled sheds it with 503 + Retry-After,
+// and it succeeds again once the slot frees.
+func TestTraceAdmissionShedsWhenSaturated(t *testing.T) {
+	s, ts, reg := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: -1})
+	const url = "/debug/trace?arch=edge&model=bert&seq=1024&epochs=3"
+	s.adm.sem <- struct{}{}
+	resp, data := get(t, ts.URL+url)
+	<-s.adm.sem
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503 (%s)", resp.StatusCode, data)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("503 without Retry-After")
+	}
+	if shed := reg.Counter("serve.shed").Value(); shed != 1 {
+		t.Fatalf("serve.shed = %d, want 1", shed)
+	}
+	if resp, data := get(t, ts.URL+url); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after release: status %d (%s)", resp.StatusCode, data)
+	}
+}
+
+// Every registered route gets its own latency histogram: one request per
+// route lands exactly one observation in serve.http.latency.<route>, and
+// none in serve.http.latency.other.
+func TestEveryRouteHasLatencyHistogram(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Config{Parallelism: 1}, reg, context.Background())
+	h := s.Handler()
+	routes := s.routes()
+	for _, rt := range routes {
+		method := http.MethodGet
+		if rt.post {
+			method = http.MethodPost
+		}
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(method, rt.path, strings.NewReader(`{}`)))
+	}
+	for _, rt := range routes {
+		name := "serve.http.latency." + strings.ReplaceAll(strings.TrimPrefix(rt.path, "/"), "/", "_")
+		if n := reg.Histogram(name, nil).Count(); n != 1 {
+			t.Errorf("%s count = %d, want 1", name, n)
+		}
+	}
+	if n := reg.Histogram("serve.http.latency.other", nil).Count(); n != 0 {
+		t.Errorf("serve.http.latency.other count = %d, want 0", n)
+	}
+}

@@ -40,6 +40,26 @@ func TestRunRejectsInvalidSpecsTyped(t *testing.T) {
 	}
 }
 
+// Validate runs exactly the checks Run runs before any evaluation work: it
+// accepts a runnable spec and rejects a malformed one with Run's own error.
+func TestValidateMatchesRun(t *testing.T) {
+	if err := (RunSpec{Arch: "edge", Model: "bert", SeqLen: 1024, System: "unfused"}).Validate(); err != nil {
+		t.Fatalf("Validate(valid spec) = %v", err)
+	}
+	for _, spec := range []RunSpec{
+		{Arch: "gpu", Model: "t5", SeqLen: 4096, System: "fusemax"},
+		{Arch: "cloud", Model: "gpt", SeqLen: 4096, System: "fusemax"},
+		{Arch: "cloud", Model: "t5", SeqLen: 4096, System: "magic"},
+		{Arch: "cloud", Model: "t5", SeqLen: 0, System: "fusemax"},
+	} {
+		_, runErr := Run(spec)
+		err := spec.Validate()
+		if !errors.Is(err, ErrInvalidSpec) || runErr == nil || err.Error() != runErr.Error() {
+			t.Fatalf("Validate(%+v) = %v, want Run's error %v", spec, err, runErr)
+		}
+	}
+}
+
 func TestRunContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
