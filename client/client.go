@@ -15,8 +15,8 @@
 //     the status, the server's message, and any Retry-After hint.
 //
 // Responses served below full fidelity (the server's overload degradation
-// ladder or watchdog) are reported via PlanResponse.ServedDegraded, mirroring
-// the Served-Degraded response header.
+// ladder, or a search that degraded internally) are reported via
+// PlanResponse.ServedDegraded, mirroring the Served-Degraded response header.
 package client
 
 import (
@@ -60,7 +60,7 @@ type PlanResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// ServedDegraded mirrors the Served-Degraded response header: non-empty
 	// when the server answered below full fidelity ("budget", "heuristic",
-	// "watchdog", or "search"), empty for a full-fidelity answer.
+	// or "search"), empty for a full-fidelity answer.
 	ServedDegraded string `json:"-"`
 	// TraceID mirrors the X-Trace-Id response header: the server-side trace
 	// that served this answer, quotable against the server's /debug/requests.

@@ -9,7 +9,7 @@
 // requests are answered from an LRU plan cache with singleflight coalescing.
 // Overload steps requests down a degradation ladder (reduced search budget,
 // then heuristic-tile-only) before shedding with 503 + a computed
-// Retry-After; a watchdog converts stuck evaluations into degraded answers.
+// Retry-After.
 // SIGTERM flips /readyz to draining, waits -ready-delay, then drains
 // in-flight plans before exiting. With -store-dir, completed plans are
 // persisted to a crash-safe disk store and a restarted daemon warm-starts
@@ -69,15 +69,13 @@ func main() {
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	maxConcurrent := flag.Int("max-concurrent", 4, "maximum simultaneous evaluations")
-	maxQueue := flag.Int("max-queue", 64, "maximum callers waiting for an evaluation slot before shedding with 503")
+	maxQueue := flag.Int("max-queue", 64, "queue depth the degradation ladder works within: past half of it requests get a reduced search budget, past all of it the heuristic tile only, and past twice it arrivals are shed with 503")
 	requestTimeout := flag.Duration("request-timeout", 60*time.Second, "server-owned evaluation deadline (expiry answers 504)")
 	cacheEntries := flag.Int("cache-entries", 1024, "plan cache capacity (completed results)")
 	maxSeq := flag.Int("max-seq", transfusion.MaxSeqLen, "largest sequence length accepted over the API")
 	maxBudget := flag.Int("max-budget", 1024, "largest per-request TileSeek rollout budget accepted")
 	parallelism := flag.Int("parallelism", 0, "per-evaluation worker-pool size (0 = GOMAXPROCS; results identical at any setting)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound for in-flight plans")
-	reducedBudget := flag.Int("reduced-budget", 16, "search budget cap under the degradation ladder's middle tier")
-	watchdogTimeout := flag.Duration("watchdog", 0, "wait before the watchdog serves a degraded answer for a stuck evaluation (0 = half the request timeout, negative disables)")
 	readyDelay := flag.Duration("ready-delay", 0, "pause between flipping /readyz to draining and closing the listener on shutdown")
 	storeDir := flag.String("store-dir", "", "directory for the durable plan store (empty disables the disk tier)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 256<<20, "byte budget for the plan store directory, LRU-evicted (<= 0 unlimited)")
@@ -86,7 +84,6 @@ func run() error {
 	peers := flag.String("peers", "", "comma-separated base URLs of every replica, self included (e.g. 'http://a:8080,http://b:8080'; empty disables clustering)")
 	peersFile := flag.String("peers-file", "", "file listing replica base URLs, one per line (# comments allowed; alternative to -peers, re-read on SIGHUP for live membership changes)")
 	self := flag.String("self", "", "this replica's own base URL, exactly as listed in -peers (required with -peers)")
-	peerVNodes := flag.Int("peer-vnodes", 0, "virtual nodes per replica on the consistent-hash ring (0 = default)")
 	peerTimeout := flag.Duration("peer-timeout", 0, "bound on one peer plan fetch before falling back to local search (0 = default; clamped per-peer by the prober's latency EWMA)")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "base gap between health probes of one peer, jittered per probe (0 disables the prober: membership stays static)")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "bound on one health probe round-trip")
@@ -207,7 +204,6 @@ func run() error {
 		clust, err = cluster.New(cluster.Config{
 			Self:         *self,
 			Peers:        list,
-			VNodes:       *peerVNodes,
 			FetchTimeout: *peerTimeout,
 			Metrics:      metrics,
 			Probe: cluster.ProbeConfig{
@@ -275,8 +271,6 @@ func run() error {
 		MaxSearchBudget: *maxBudget,
 		Parallelism:     *parallelism,
 		DrainTimeout:    *drainTimeout,
-		ReducedBudget:   *reducedBudget,
-		WatchdogTimeout: *watchdogTimeout,
 		ReadyDelay:      *readyDelay,
 		Store:           planStore,
 		ColdStart:       !*storeWarm,

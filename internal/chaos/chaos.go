@@ -43,7 +43,7 @@ const (
 	SiteServeAdmission = "serve.admission"
 	// SiteServeCacheLeader fires once per cache-leader evaluation, inside
 	// the singleflight closure (a panic here exercises the joiner-error
-	// path; latency models a stuck evaluation for the watchdog).
+	// path; latency models a stuck evaluation whose caller may give up).
 	SiteServeCacheLeader = "serve.cache.leader"
 	// SiteTileseekRollout fires once per MCTS rollout.
 	SiteTileseekRollout = "tileseek.rollout"

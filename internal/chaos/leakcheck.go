@@ -9,8 +9,8 @@ import (
 )
 
 // Goroutine-leak checking (goleak-style): the chaos invariants require that
-// no fault schedule — panics in cache leaders, stuck evaluations converted by
-// the watchdog, mid-drain cancellations — leaves an evaluator goroutine
+// no fault schedule — panics in cache leaders, stuck evaluations whose
+// callers gave up, mid-drain cancellations — leaves an evaluator goroutine
 // behind. The checker snapshots the full goroutine dump, filters the
 // goroutines the runtime and the testing harness legitimately keep, and
 // retries over a grace window so goroutines that are *finishing* (a detached

@@ -22,9 +22,9 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per member when Config.VNodes is
-// zero. 128 points per member keeps per-replica load within ±30% of fair
-// share (see TestRingBalanceWithinDocumentedBound) at negligible memory cost.
+// DefaultVNodes is the virtual-node count of every ring member. 128 points
+// per member keeps per-replica load within ±30% of fair share (see
+// TestRingBalanceWithinDocumentedBound) at negligible memory cost.
 const DefaultVNodes = 128
 
 // point is one virtual node on the ring.
@@ -37,7 +37,6 @@ type point struct {
 // changed topologies with Add/Remove (the originals are untouched, so a
 // topology swap is a pointer store).
 type Ring struct {
-	vnodes  int
 	points  []point  // sorted by (hash, member)
 	members []string // sorted, deduplicated
 }
@@ -70,13 +69,10 @@ func hashPoint(member string, i int) uint64 {
 	return mix(fnv64(member) ^ mix(uint64(i)))
 }
 
-// NewRing builds a ring with vnodes virtual nodes per member (<= 0 takes
-// DefaultVNodes). Members are deduplicated; order is irrelevant — two rings
-// built from permutations of the same list are identical.
-func NewRing(vnodes int, members ...string) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// NewRing builds a ring with DefaultVNodes virtual nodes per member. Members
+// are deduplicated; order is irrelevant — two rings built from permutations
+// of the same list are identical.
+func NewRing(members ...string) *Ring {
 	seen := make(map[string]bool, len(members))
 	uniq := make([]string, 0, len(members))
 	for _, m := range members {
@@ -86,10 +82,10 @@ func NewRing(vnodes int, members ...string) *Ring {
 		}
 	}
 	sort.Strings(uniq)
-	r := &Ring{vnodes: vnodes, members: uniq}
-	r.points = make([]point, 0, len(uniq)*vnodes)
+	r := &Ring{members: uniq}
+	r.points = make([]point, 0, len(uniq)*DefaultVNodes)
 	for _, m := range uniq {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < DefaultVNodes; i++ {
 			r.points = append(r.points, point{hash: hashPoint(m, i), member: m})
 		}
 	}
@@ -137,7 +133,7 @@ func (r *Ring) Len() int { return len(r.members) }
 // Add returns a new ring with member joined; r is unchanged. Adding an
 // existing member returns an identical ring.
 func (r *Ring) Add(member string) *Ring {
-	return NewRing(r.vnodes, append(r.Members(), member)...)
+	return NewRing(append(r.Members(), member)...)
 }
 
 // Remove returns a new ring with member left; r is unchanged.
@@ -148,10 +144,10 @@ func (r *Ring) Remove(member string) *Ring {
 			kept = append(kept, m)
 		}
 	}
-	return NewRing(r.vnodes, kept...)
+	return NewRing(kept...)
 }
 
 // String summarises the ring for logging.
 func (r *Ring) String() string {
-	return fmt.Sprintf("cluster: ring of %d members, %d vnodes each", len(r.members), r.vnodes)
+	return fmt.Sprintf("cluster: ring of %d members, %d vnodes each", len(r.members), DefaultVNodes)
 }

@@ -39,15 +39,15 @@ func TestRingDeterministicAcrossOrderings(t *testing.T) {
 	members := testMembers(5)
 	keys := testKeys(2000, 1)
 
-	forward := NewRing(0, members...)
+	forward := NewRing(members...)
 	reversed := make([]string, len(members))
 	for i, m := range members {
 		reversed[len(members)-1-i] = m
 	}
-	backward := NewRing(0, reversed...)
+	backward := NewRing(reversed...)
 	// Same set via a different construction path: build with one extra
 	// member, then remove it.
-	viaChange := NewRing(0, append([]string{"http://replica-9:8080"}, members...)...).Remove("http://replica-9:8080")
+	viaChange := NewRing(append([]string{"http://replica-9:8080"}, members...)...).Remove("http://replica-9:8080")
 
 	for _, k := range keys {
 		want := forward.Owner(k)
@@ -61,7 +61,7 @@ func TestRingDeterministicAcrossOrderings(t *testing.T) {
 	if forward.Owner("any") == "" {
 		t.Fatal("non-empty ring returned no owner")
 	}
-	if (&Ring{}).Owner("any") != "" || NewRing(0).Owner("any") != "" {
+	if (&Ring{}).Owner("any") != "" || NewRing().Owner("any") != "" {
 		t.Fatal("empty ring claimed an owner")
 	}
 }
@@ -75,7 +75,7 @@ func TestRingBalanceWithinDocumentedBound(t *testing.T) {
 	for _, nMembers := range []int{2, 3, 5, 8} {
 		for seed := int64(1); seed <= 3; seed++ {
 			members := testMembers(nMembers)
-			ring := NewRing(DefaultVNodes, members...)
+			ring := NewRing(members...)
 			counts := make(map[string]int, nMembers)
 			for _, k := range testKeys(keysPerTrial, seed) {
 				counts[ring.Owner(k)]++
@@ -98,7 +98,7 @@ func TestRingBalanceWithinDocumentedBound(t *testing.T) {
 func TestRingJoinRemapsMinimally(t *testing.T) {
 	members := testMembers(4)
 	keys := testKeys(20000, 7)
-	before := NewRing(0, members...)
+	before := NewRing(members...)
 	joiner := "http://replica-new:8080"
 	after := before.Add(joiner)
 
@@ -126,7 +126,7 @@ func TestRingJoinRemapsMinimally(t *testing.T) {
 func TestRingLeaveRemapsMinimally(t *testing.T) {
 	members := testMembers(5)
 	keys := testKeys(20000, 11)
-	before := NewRing(0, members...)
+	before := NewRing(members...)
 	leaver := members[2]
 	after := before.Remove(leaver)
 
@@ -151,7 +151,7 @@ func TestRingLeaveRemapsMinimally(t *testing.T) {
 // and the originals are untouched (immutability).
 func TestRingAddRemoveEdgeCases(t *testing.T) {
 	members := testMembers(3)
-	ring := NewRing(0, members...)
+	ring := NewRing(members...)
 	keys := testKeys(500, 3)
 
 	same := ring.Add(members[0])
@@ -168,7 +168,7 @@ func TestRingAddRemoveEdgeCases(t *testing.T) {
 		t.Fatalf("original ring mutated: %v", ring.Members())
 	}
 	// Duplicates collapse at construction.
-	if NewRing(0, members[0], members[0], members[1]).Len() != 2 {
+	if NewRing(members[0], members[0], members[1]).Len() != 2 {
 		t.Fatal("duplicate members were not collapsed")
 	}
 }

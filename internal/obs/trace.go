@@ -73,8 +73,8 @@ type Attr struct {
 	V string `json:"v"`
 }
 
-// SpanEvent is a point-in-time annotation inside a span (a watchdog firing,
-// a client retry).
+// SpanEvent is a point-in-time annotation inside a span (a client retry, a
+// hedge launch).
 type SpanEvent struct {
 	Name string    `json:"name"`
 	At   time.Time `json:"-"`

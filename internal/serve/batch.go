@@ -25,8 +25,8 @@ type BatchPlanRequest struct {
 type BatchPlanEntry struct {
 	// Status is the HTTP status this request would have received on
 	// /v1/plan — 200 with Result set, else the faults taxonomy mapping
-	// (400 invalid, 429 over capacity, 499 canceled, 500 internal) with
-	// Error set.
+	// (400 invalid, 422 infeasible, 503 overloaded, 504 canceled, 500
+	// internal) with Error set.
 	Status int `json:"status"`
 	// Result is the evaluation outcome (Status 200 only). A degraded entry
 	// keeps its Result — Degraded/DegradedReason mark it — so one slow or

@@ -68,7 +68,7 @@ func TestBatchMixedSourcesAcrossCluster(t *testing.T) {
 func TestBatchDegradedEntrySemantics(t *testing.T) {
 	// Every search rollout faults, so search-backed entries degrade to the
 	// heuristic tile internally; the cheap unfused entry is untouched.
-	_, ts, reg, _ := chaosTestServer(t, Config{WatchdogTimeout: -1},
+	_, ts, reg, _ := chaosTestServer(t, Config{},
 		"tileseek.rollout=error@every=1", 7)
 
 	body := fmt.Sprintf(`{"requests":[%s,%s]}`, fastPlanBody, searchPlanBody)
@@ -146,13 +146,13 @@ func TestBatchGoldenResponseShape(t *testing.T) {
 	dir := t.TempDir()
 	// Seed the disk tier with the search spec's plan, then restart cold so
 	// the first batch entry must come from disk.
-	sA, tsA, _ := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, true, "")
+	sA, tsA, _ := storeTestServer(t, Config{}, dir, true, "")
 	if resp, data := post(t, tsA.URL+"/v1/plan", searchPlanBody); resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed request: %d: %s", resp.StatusCode, data)
 	}
 	sA.fills.Wait()
 
-	_, tsB, _ := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, true, "")
+	_, tsB, _ := storeTestServer(t, Config{}, dir, true, "")
 	body := fmt.Sprintf(`{"requests":[%s,%s,%s,{"arch":"edge","model":"bert","seq_len":-1,"system":"unfused"}]}`,
 		searchPlanBody, searchPlanBody, fastPlanBody)
 	resp, data := post(t, tsB.URL+"/v1/plan/batch", body)

@@ -49,7 +49,7 @@ func chaosTestServer(t *testing.T, cfg Config, spec string, seed uint64) (*Serve
 // degradedCounterSum adds up every serve.degraded.* counter.
 func degradedCounterSum(reg *obs.Registry) int64 {
 	var sum int64
-	for _, mode := range []string{degradeBudget, degradeHeuristic, degradeWatchdog, degradeSearch} {
+	for _, mode := range []string{degradeBudget, degradeHeuristic, degradeSearch} {
 		sum += reg.Counter("serve.degraded." + mode).Value()
 	}
 	return sum
@@ -81,15 +81,19 @@ func TestChaosSchedules(t *testing.T) {
 		spec string
 		site string
 		cfg  Config
+		// fullFidelity requires every reply to be a 200 without
+		// Served-Degraded.
+		fullFidelity bool
 	}{
 		{
-			// Injected leader latency with a short watchdog: stuck
-			// evaluations come back as degraded heuristic answers, the
-			// stalled leaders finish in the background.
-			name: "latency",
-			spec: "serve.cache.leader=latency:300ms@every=2@limit=4",
-			site: chaos.SiteServeCacheLeader,
-			cfg:  Config{RequestTimeout: 5 * time.Second, WatchdogTimeout: 40 * time.Millisecond},
+			// Injected leader latency: stalled evaluations are answered
+			// with full fidelity once the stall passes, well inside the
+			// request timeout.
+			name:         "latency",
+			spec:         "serve.cache.leader=latency:300ms@every=2@limit=4",
+			site:         chaos.SiteServeCacheLeader,
+			cfg:          Config{RequestTimeout: 5 * time.Second},
+			fullFidelity: true,
 		},
 		{
 			// Injected leader panics must surface as mapped 500s — for the
@@ -98,7 +102,7 @@ func TestChaosSchedules(t *testing.T) {
 			name: "panic",
 			spec: "serve.cache.leader=panic@every=3@limit=5",
 			site: chaos.SiteServeCacheLeader,
-			cfg:  Config{RequestTimeout: 5 * time.Second, WatchdogTimeout: -1},
+			cfg:  Config{RequestTimeout: 5 * time.Second},
 		},
 		{
 			// Injected cancellation maps to 504 through the ErrCanceled
@@ -106,7 +110,7 @@ func TestChaosSchedules(t *testing.T) {
 			name: "cancel",
 			spec: "serve.cache.leader=cancel@every=3@limit=5",
 			site: chaos.SiteServeCacheLeader,
-			cfg:  Config{RequestTimeout: 5 * time.Second, WatchdogTimeout: -1},
+			cfg:  Config{RequestTimeout: 5 * time.Second},
 		},
 		{
 			// Injected errors inside the tile search: the pipeline degrades
@@ -115,7 +119,7 @@ func TestChaosSchedules(t *testing.T) {
 			name: "search-fault",
 			spec: "tileseek.rollout=error@every=2@limit=3",
 			site: chaos.SiteTileseekRollout,
-			cfg:  Config{RequestTimeout: 5 * time.Second, WatchdogTimeout: -1},
+			cfg:  Config{RequestTimeout: 5 * time.Second},
 		},
 	}
 	for _, sc := range schedules {
@@ -160,6 +164,9 @@ func TestChaosSchedules(t *testing.T) {
 				if !validStatuses[r.status] {
 					t.Errorf("reply %d: unmapped status %d", i, r.status)
 				}
+				if sc.fullFidelity && (r.status != http.StatusOK || r.degraded != "") {
+					t.Errorf("reply %d: status %d, Served-Degraded %q; want a full-fidelity 200", i, r.status, r.degraded)
+				}
 				if r.degraded != "" {
 					degradedResponses++
 					if r.status != http.StatusOK {
@@ -201,9 +208,8 @@ func TestChaosSchedules(t *testing.T) {
 }
 
 // planResult posts body to /v1/plan until it answers a full-fidelity 200 —
-// a leftover injected fault surfaces as 5xx, and a watchdog fallback carries
-// Served-Degraded while the stuck leader is still finishing; both must clear
-// within a few retries once the fault budget is spent.
+// a leftover injected fault surfaces as 5xx, and must clear within a few
+// retries once the fault budget is spent.
 func planResult(t *testing.T, baseURL, body string) (out struct {
 	Cycles float64
 	Tile   string
@@ -236,11 +242,10 @@ func TestServeDrainsUnderInjection(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	s := New(Config{
-		Parallelism:     1,
-		RequestTimeout:  5 * time.Second,
-		DrainTimeout:    20 * time.Second,
-		WatchdogTimeout: -1,
-		ReadyDelay:      300 * time.Millisecond,
+		Parallelism:    1,
+		RequestTimeout: 5 * time.Second,
+		DrainTimeout:   20 * time.Second,
+		ReadyDelay:     300 * time.Millisecond,
 	}, reg, chaos.With(context.Background(), inj))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

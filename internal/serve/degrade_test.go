@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +22,7 @@ const searchPlanBody = `{"arch":"edge","model":"bert","seq_len":1024,"system":"t
 // The ladder unit: queue pressure maps onto fidelity tiers, and degraded specs
 // always resolve to their own cache keys.
 func TestApplyLadderTiers(t *testing.T) {
-	s, _, _ := newTestServer(t, Config{MaxQueue: 8, WatchdogTimeout: -1})
+	s, _, _ := newTestServer(t, Config{MaxQueue: 8})
 	base := transfusion.RunSpec{Arch: "edge", Model: "bert", SeqLen: 1024, System: "transfusion", SearchBudget: 64}
 
 	s.adm.queued.Store(0)
@@ -31,8 +33,8 @@ func TestApplyLadderTiers(t *testing.T) {
 	// Half-full queue: tier 1 caps the search budget...
 	s.adm.queued.Store(4)
 	spec, mode := s.applyLadder(base)
-	if mode != degradeBudget || spec.SearchBudget != s.cfg.ReducedBudget {
-		t.Fatalf("tier 1 = (budget %d, mode %q), want (%d, %q)", spec.SearchBudget, mode, s.cfg.ReducedBudget, degradeBudget)
+	if mode != degradeBudget || spec.SearchBudget != reducedBudget {
+		t.Fatalf("tier 1 = (budget %d, mode %q), want (%d, %q)", spec.SearchBudget, mode, reducedBudget, degradeBudget)
 	}
 	if spec.CanonicalKey() == base.CanonicalKey() {
 		t.Fatal("budget-degraded spec shares the full-fidelity cache key")
@@ -67,7 +69,7 @@ func TestApplyLadderTiers(t *testing.T) {
 // heuristic-only answer — 200, Served-Degraded: heuristic, counter bumped —
 // and once pressure clears the same request gets its full-fidelity search.
 func TestPlanDegradesHeuristicUnderPressure(t *testing.T) {
-	s, ts, reg := newTestServer(t, Config{MaxQueue: 8, WatchdogTimeout: -1})
+	s, ts, reg := newTestServer(t, Config{MaxQueue: 8})
 
 	s.adm.queued.Store(8)
 	resp, data := post(t, ts.URL+"/v1/plan", searchPlanBody)
@@ -116,7 +118,7 @@ func TestPlanDegradesHeuristicUnderPressure(t *testing.T) {
 // End-to-end tier 1: a half-full queue trims the search budget but still
 // searches; the response is marked with the budget mode.
 func TestPlanDegradesBudgetUnderPressure(t *testing.T) {
-	s, ts, reg := newTestServer(t, Config{MaxQueue: 8, WatchdogTimeout: -1})
+	s, ts, reg := newTestServer(t, Config{MaxQueue: 8})
 	s.adm.queued.Store(4)
 	body := `{"arch":"edge","model":"bert","seq_len":1024,"system":"transfusion","search_budget":64}`
 	resp, data := post(t, ts.URL+"/v1/plan", body)
@@ -141,53 +143,58 @@ func TestPlanDegradesBudgetUnderPressure(t *testing.T) {
 	}
 }
 
-// The watchdog converts a stuck evaluation into a degraded heuristic answer
-// instead of letting the caller ride into a 504. The stuck leader finishes in
-// the background under the request timeout.
-func TestWatchdogRescuesStuckEvaluation(t *testing.T) {
-	_, ts, reg, inj := chaosTestServer(t, Config{
-		RequestTimeout:  10 * time.Second,
-		WatchdogTimeout: 30 * time.Millisecond,
-	}, "serve.cache.leader=latency:2s@limit=1", 11)
+// A singleflight leader whose client gives up returns at once, while its
+// stalled evaluation runs on under the server's deadline and lands in the
+// cache: the retry answers from memory, with full fidelity, and the plan is
+// evaluated exactly once.
+func TestAbandonedLeaderLandsInCache(t *testing.T) {
+	const stall = time.Second
+	s, ts, reg, inj := chaosTestServer(t, Config{RequestTimeout: 10 * time.Second},
+		"serve.cache.leader=latency:1s@limit=1", 11)
 
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(fastPlanBody)).WithContext(ctx)
+	rec := httptest.NewRecorder()
 	start := time.Now()
+	s.Handler().ServeHTTP(rec, req)
+	if elapsed := time.Since(start); elapsed >= stall/2 {
+		t.Fatalf("handler took %v after its client gave up — it waited on the stalled leader", elapsed)
+	}
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("abandoned request status %d, want %d", rec.Code, http.StatusGatewayTimeout)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for s.cache.Len() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned leader's evaluation never reached the cache")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	resp, data := post(t, ts.URL+"/v1/plan", fastPlanBody)
-	elapsed := time.Since(start)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	pr, source := planSource(t, resp, data)
+	if source != sourceMemory || !pr.Cached {
+		t.Fatalf("retry answered from %q (cached %t), want %q", source, pr.Cached, sourceMemory)
 	}
-	if got := resp.Header.Get("Served-Degraded"); got != degradeWatchdog {
-		t.Fatalf("Served-Degraded = %q, want %q", got, degradeWatchdog)
+	if got := resp.Header.Get("Served-Degraded"); got != "" || pr.Result.Degraded {
+		t.Fatalf("retry served degraded (header %q): %+v", got, pr.Result)
 	}
-	if elapsed >= 2*time.Second {
-		t.Fatalf("watchdog answer took %v — it waited out the injected stall", elapsed)
-	}
-	var pr PlanResponse
-	if err := json.Unmarshal(data, &pr); err != nil {
-		t.Fatal(err)
-	}
-	if !pr.Result.Degraded {
-		t.Fatalf("watchdog response body not marked degraded: %+v", pr.Result)
-	}
-	if got := reg.Counter("serve.watchdog_fires").Value(); got != 1 {
-		t.Fatalf("serve.watchdog_fires = %d, want 1", got)
-	}
-	if got := reg.Counter("serve.degraded." + degradeWatchdog).Value(); got != 1 {
-		t.Fatalf("serve.degraded.watchdog = %d, want 1", got)
+	if got := reg.Counter("serve.cache_misses").Value(); got != 1 {
+		t.Fatalf("serve.cache_misses = %d, want 1 evaluation", got)
 	}
 	if inj.Fires(chaos.SiteServeCacheLeader) != 1 {
 		t.Fatalf("injected stall fired %d times, want 1", inj.Fires(chaos.SiteServeCacheLeader))
 	}
 }
 
-// The server-side deadline bounds the queue wait: with the pool wedged and no
-// watchdog, a request times out with a mapped 504 instead of hanging.
+// The server-side deadline bounds the queue wait: with the pool wedged, a
+// request times out with a mapped 504 instead of hanging.
 func TestRequestDeadlineBoundsQueueWait(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{
-		MaxConcurrent:   1,
-		MaxQueue:        8,
-		RequestTimeout:  100 * time.Millisecond,
-		WatchdogTimeout: -1,
+		MaxConcurrent:  1,
+		MaxQueue:       8,
+		RequestTimeout: 100 * time.Millisecond,
 	})
 	s.adm.sem <- struct{}{} // wedge the only slot
 	defer func() { <-s.adm.sem }()
@@ -241,7 +248,7 @@ func TestCanceledRequestNeverAcquiresSlot(t *testing.T) {
 // Retry-After is computed, not constant: queue-drain time at the EWMA
 // service rate, and the EWMA is exported as serve.plan_latency_ewma.
 func TestRetryAfterComputedFromLoad(t *testing.T) {
-	s, ts, reg := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: -1, WatchdogTimeout: -1})
+	s, ts, reg := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: -1})
 	s.observeLatency(2500 * time.Millisecond)
 	if got := reg.Gauge("serve.plan_latency_ewma").Value(); got != 2500 {
 		t.Fatalf("serve.plan_latency_ewma = %v, want 2500", got)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestMain wraps the whole package in the goroutine-leak checker: no test —
-// chaos schedules, watchdog rescues, drains under injection — may leave an
+// chaos schedules, abandoned leaders, drains under injection — may leave an
 // evaluator goroutine behind. The grace window covers detached cache leaders
 // still winding down under their (short, test-configured) request timeouts.
 func TestMain(m *testing.M) {

@@ -16,9 +16,6 @@
 //     serve.degraded.* counters; only past twice the queue depth are
 //     arrivals refused with 503 + a Retry-After computed from queue depth
 //     and the EWMA of recent plan latencies (serve.plan_latency_ewma);
-//   - a per-request watchdog that converts a stuck evaluation into a
-//     degraded heuristic-only answer instead of letting the caller ride the
-//     full deadline into a 504;
 //   - per-request deadlines owned by the server, with the faults taxonomy
 //     mapped onto HTTP statuses (faults.HTTPStatus), and a panic-recovery
 //     boundary around every handler;
@@ -62,9 +59,11 @@ import (
 type Config struct {
 	// MaxConcurrent bounds simultaneous evaluations (default 4).
 	MaxConcurrent int
-	// MaxQueue bounds callers waiting for an evaluation slot before new
-	// arrivals are shed with 503 (0 takes the default of 64; negative
-	// disables queueing entirely — a busy pool sheds immediately).
+	// MaxQueue is the wait-queue depth the degradation ladder works within:
+	// past half of it requests get a reduced search budget, past all of it
+	// the heuristic tile only, and only past twice it are new arrivals shed
+	// with 503 (0 takes the default of 64; negative disables queueing
+	// entirely — a busy pool sheds immediately and the ladder is off).
 	MaxQueue int
 	// RequestTimeout is the server-owned evaluation deadline (default 60s).
 	// Expiry surfaces as 504 via the ErrCanceled mapping.
@@ -84,16 +83,6 @@ type Config struct {
 	Parallelism int
 	// DrainTimeout bounds graceful shutdown (default 30s).
 	DrainTimeout time.Duration
-	// ReducedBudget is the search budget the degradation ladder's middle
-	// tier caps requests at once the wait queue is half full (default 16).
-	ReducedBudget int
-	// WatchdogTimeout bounds how long a request waits on its evaluation
-	// before the watchdog serves a degraded heuristic-only answer instead
-	// (the stuck evaluation keeps running in the background, bounded by
-	// RequestTimeout, and lands in the cache if it ever completes). 0 takes
-	// the default of half the request timeout; negative disables the
-	// watchdog.
-	WatchdogTimeout time.Duration
 	// ReadyDelay is the pause between flipping /readyz to draining and
 	// closing the listener on shutdown, giving load balancers a window to
 	// stop routing (default 0 — flip and drain immediately).
@@ -149,14 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.ReducedBudget <= 0 {
-		c.ReducedBudget = 16
-	}
-	if c.WatchdogTimeout == 0 {
-		c.WatchdogTimeout = c.RequestTimeout / 2
-	} else if c.WatchdogTimeout < 0 {
-		c.WatchdogTimeout = 0
 	}
 	if c.ReadyDelay < 0 {
 		c.ReadyDelay = 0
@@ -576,9 +557,11 @@ func wireRequest(spec transfusion.RunSpec) PlanRequest {
 const (
 	degradeBudget    = "budget"    // ladder tier 1: search budget reduced
 	degradeHeuristic = "heuristic" // ladder tier 2: heuristic tile only
-	degradeWatchdog  = "watchdog"  // watchdog rescued a stuck evaluation
 	degradeSearch    = "search"    // the evaluation itself degraded internally
 )
+
+// reducedBudget is the search budget the ladder's tier 1 caps requests at.
+const reducedBudget = 16
 
 // degradeTier maps current queue pressure onto the ladder: 0 below half the
 // configured queue depth (full-fidelity search), 1 up to the full depth
@@ -612,8 +595,8 @@ func (s *Server) applyLadder(spec transfusion.RunSpec) (transfusion.RunSpec, str
 	}
 	switch s.degradeTier() {
 	case 1:
-		if spec.SearchBudget == 0 || spec.SearchBudget > s.cfg.ReducedBudget {
-			spec.SearchBudget = s.cfg.ReducedBudget
+		if spec.SearchBudget == 0 || spec.SearchBudget > reducedBudget {
+			spec.SearchBudget = reducedBudget
 			return spec, degradeBudget
 		}
 		return spec, ""
@@ -650,22 +633,10 @@ type resolution struct {
 	source string
 }
 
-// answered records an evaluation outcome: a cache hit inside the cache's Do
-// (the entry landed between the peek and the call, or the degraded key was
-// already cached) is a memory answer; anything else keeps the source label
-// the evaluation ran under.
-func (r resolution) answered(res transfusion.RunResult, cached bool) resolution {
-	r.res, r.cached = res, cached
-	if cached {
-		r.source = sourceMemory
-	}
-	return r
-}
-
 // stampDegraded returns the Served-Degraded mode this answer contributes to
-// its response ("" for a full-fidelity answer) and, when the ladder or the
-// watchdog rather than the evaluation itself was the cause, sets the
-// result's Degraded/DegradedReason fields.
+// its response ("" for a full-fidelity answer) and, when the ladder rather
+// than the evaluation itself was the cause, sets the result's
+// Degraded/DegradedReason fields.
 func (r *resolution) stampDegraded() string {
 	switch {
 	case r.mode == "" && r.res.Degraded:
@@ -686,7 +657,7 @@ func (r *resolution) stampDegraded() string {
 //  2. the degradation ladder, which may rewrite the spec (and so its key);
 //  3. for a full-fidelity request only: the disk tier, then a peer fetch,
 //     then a warm hint for the search;
-//  4. the evaluation itself, under the watchdog (evaluate).
+//  4. the evaluation itself (evaluate).
 //
 // reqCtx bounds only this caller's wait; the evaluation runs under the
 // server's own deadline so a disconnecting client cannot kill coalesced
@@ -785,18 +756,11 @@ func (s *Server) resolve(reqCtx context.Context, spec transfusion.RunSpec, allow
 	return s.evaluate(ctx, spec, resolution{key: fullKey, source: source})
 }
 
-// evaluate runs spec through the cache/admission stack under the watchdog.
-// r carries the key, the degradation mode, and the source label an uncached
-// evaluation answers under; evaluate fills in the outcome.
-//
-// When the watchdog fires first it serves a heuristic-only answer instead of
-// letting the caller ride the request deadline into a 504. The stuck
-// evaluation keeps running in the background, bounded by RequestTimeout,
-// and lands in the cache under its own key if it ever completes. The
-// fallback bypasses admission deliberately — the pool's slots may be wedged
-// by the very evaluations the watchdog is routing around, and the heuristic
-// path is bounded, cheap work. A heuristic-only spec already is that
-// fallback, so it has no watchdog and rides its evaluation out.
+// evaluate runs spec through the cache/admission stack. r carries the key,
+// the degradation mode, and the source label an uncached evaluation answers
+// under; evaluate fills in the outcome. The evaluation runs on its own
+// goroutine so a caller that gives up returns at once; the evaluation runs
+// on under the server's deadline and lands in the cache for the retry.
 func (s *Server) evaluate(reqCtx context.Context, spec transfusion.RunSpec, r resolution) (resolution, error) {
 	type evalOut struct {
 		res    transfusion.RunResult
@@ -809,42 +773,21 @@ func (s *Server) evaluate(reqCtx context.Context, spec transfusion.RunSpec, r re
 		res, cached, err := s.doEval(reqCtx, spec, key)
 		done <- evalOut{res, cached, err}
 	}()
-	var fired <-chan time.Time
-	if s.cfg.WatchdogTimeout > 0 && !spec.HeuristicOnly {
-		watchdog := time.NewTimer(s.cfg.WatchdogTimeout)
-		defer watchdog.Stop()
-		fired = watchdog.C
-	}
 	select {
 	case o := <-done:
-		return r.answered(o.res, o.cached), o.err
+		r.res, r.cached = o.res, o.cached
+		if o.cached {
+			// A cache hit inside the cache's Do (the entry landed between
+			// the peek and the call, or the degraded key was already cached)
+			// is a memory answer; anything else keeps the source label the
+			// evaluation ran under.
+			r.source = sourceMemory
+		}
+		return r, o.err
 	case <-reqCtx.Done():
 		r.source = sourceSearch
 		return r, faults.Canceled(reqCtx)
-	case <-fired:
 	}
-	s.reg.Counter("serve.watchdog_fires").Inc()
-	obs.SpanFromContext(reqCtx).Event("watchdog.fired")
-	fspec := spec
-	fspec.HeuristicOnly = true
-	r.key, r.source = fspec.CanonicalKey(), sourceSearch
-	res, cached, err := s.cache.Do(reqCtx, r.key, true, func() (transfusion.RunResult, error) {
-		evalCtx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
-		defer cancel()
-		var wdSp *obs.Span
-		if sp := obs.SpanFromContext(reqCtx); sp != nil {
-			evalCtx = obs.ContextWithSpan(evalCtx, sp)
-			evalCtx, wdSp = obs.StartSpan(evalCtx, "plan.watchdog_rescue")
-		}
-		res, err := transfusion.RunContext(evalCtx, fspec)
-		wdSp.EndErr(err)
-		return res, err
-	})
-	if err != nil {
-		return r, err
-	}
-	r.mode = degradeWatchdog
-	return r.answered(res, cached), nil
 }
 
 // lookup answers key from the exact tiers — the memory cache, then, with
@@ -965,17 +908,12 @@ func (s *Server) fetchPeer(reqCtx context.Context, route peerRoute, peer string,
 // boundDiskCtx derives the context for an on-request-path disk read: the
 // server's base context (which carries the chaos injector and metrics), time-
 // bounded so a slow or fault-injected disk degrades to a miss instead of
-// wedging the request. The watchdog timeout bounds it when configured — the
-// disk tier sits outside the watchdog, so it must not be allowed to consume
-// the whole request deadline on its own. The request's span (when tracing)
-// is re-attached so the store's "store.read" span lands in the request's
-// trace despite the detached cancellation.
+// wedging the request. Half the request timeout bounds it, so a disk read
+// can never consume the whole request deadline on its own. The request's
+// span (when tracing) is re-attached so the store's "store.read" span lands
+// in the request's trace despite the detached cancellation.
 func (s *Server) boundDiskCtx(reqCtx context.Context) (context.Context, context.CancelFunc) {
-	timeout := s.cfg.RequestTimeout
-	if s.cfg.WatchdogTimeout > 0 && s.cfg.WatchdogTimeout < timeout {
-		timeout = s.cfg.WatchdogTimeout
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
+	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout/2)
 	if sp := obs.SpanFromContext(reqCtx); sp != nil {
 		ctx = obs.ContextWithSpan(ctx, sp)
 	}

@@ -36,6 +36,10 @@ func storeTestServer(t *testing.T, cfg Config, dir string, cold bool, chaosSpec 
 		baseCtx = chaos.With(baseCtx, inj)
 	}
 	s := New(cfg, reg, baseCtx)
+	// Cleanups run last-registered first: close the listener, then wait
+	// out the async disk fills, so none is still writing into dir when the
+	// test's TempDir is removed.
+	t.Cleanup(s.fills.Wait)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts, reg
@@ -63,7 +67,7 @@ func planSource(t *testing.T, resp *http.Response, data []byte) (PlanResponse, s
 func TestDiskTierServesAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 
-	sA, tsA, _ := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, true, "")
+	sA, tsA, _ := storeTestServer(t, Config{}, dir, true, "")
 	resp, data := post(t, tsA.URL+"/v1/plan", searchPlanBody)
 	first, source := planSource(t, resp, data)
 	if source != sourceSearch {
@@ -76,7 +80,7 @@ func TestDiskTierServesAcrossRestart(t *testing.T) {
 
 	// "Restart": a cold server over the same directory. Its memory cache is
 	// empty, so the first answer must come from disk — and be promoted.
-	sB, tsB, regB := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, true, "")
+	sB, tsB, regB := storeTestServer(t, Config{}, dir, true, "")
 	resp, data = post(t, tsB.URL+"/v1/plan", searchPlanBody)
 	fromDisk, source := planSource(t, resp, data)
 	if source != sourceDisk {
@@ -107,12 +111,12 @@ func TestDiskTierServesAcrossRestart(t *testing.T) {
 // its memory cache at construction, so the very first request is a memory hit.
 func TestWarmRestartSeedsMemoryCache(t *testing.T) {
 	dir := t.TempDir()
-	sA, tsA, _ := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, true, "")
+	sA, tsA, _ := storeTestServer(t, Config{}, dir, true, "")
 	resp, data := post(t, tsA.URL+"/v1/plan", searchPlanBody)
 	first, _ := planSource(t, resp, data)
 	sA.fills.Wait()
 
-	sB, tsB, _ := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, false, "")
+	sB, tsB, _ := storeTestServer(t, Config{}, dir, false, "")
 	if sB.cache.Len() != 1 {
 		t.Fatalf("warm server's memory cache holds %d entries, want 1", sB.cache.Len())
 	}
@@ -131,7 +135,7 @@ func TestWarmRestartSeedsMemoryCache(t *testing.T) {
 // persisted.
 func TestDegradedResultsNeverPersisted(t *testing.T) {
 	dir := t.TempDir()
-	s, ts, _ := storeTestServer(t, Config{MaxQueue: 8, WatchdogTimeout: -1}, dir, true, "")
+	s, ts, _ := storeTestServer(t, Config{MaxQueue: 8}, dir, true, "")
 
 	s.adm.queued.Store(8) // tier 2: heuristic only
 	resp, data := post(t, ts.URL+"/v1/plan", searchPlanBody)
@@ -161,7 +165,7 @@ func TestDegradedResultsNeverPersisted(t *testing.T) {
 // corrupted or divergent response — and the directory stays recoverable.
 func TestStoreChaosSchedules(t *testing.T) {
 	// The fault-free reference server: what every answer must match.
-	_, cleanTS, _ := newTestServer(t, Config{WatchdogTimeout: -1})
+	_, cleanTS, _ := newTestServer(t, Config{})
 	resp, data := post(t, cleanTS.URL+"/v1/plan", searchPlanBody)
 	want, _ := planSource(t, resp, data)
 
@@ -170,29 +174,23 @@ func TestStoreChaosSchedules(t *testing.T) {
 		spec string
 		// prime runs a clean pass first so there is a record to fault on.
 		prime bool
-		// watchdog enables the watchdog (which also bounds the disk read) —
-		// needed by the latency schedule; left off elsewhere so responses
-		// wait for the real evaluation and its fill is spawned before the
-		// response returns (making fills.Wait a reliable barrier).
-		watchdog time.Duration
 	}{
-		{name: "read-error", spec: "store.read=error@every=1@limit=2", prime: true, watchdog: -1},
-		{name: "read-latency", spec: "store.read=latency:10s@every=1@limit=1", prime: true, watchdog: 100 * time.Millisecond},
-		{name: "write-shortwrite", spec: "store.write=shortwrite@every=1@limit=1", watchdog: -1},
-		{name: "fsync-error", spec: "store.fsync=error@every=1@limit=1", watchdog: -1},
+		{name: "read-error", spec: "store.read=error@every=1@limit=2", prime: true},
+		// Half the request timeout bounds the stalled disk read, so it
+		// degrades to a miss and a re-search well inside the 10s bound.
+		{name: "read-latency", spec: "store.read=latency:10s@every=1@limit=1", prime: true},
+		{name: "write-shortwrite", spec: "store.write=shortwrite@every=1@limit=1"},
+		{name: "fsync-error", spec: "store.fsync=error@every=1@limit=1"},
 	}
 	for _, sc := range schedules {
 		t.Run(sc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			if sc.prime {
-				sp, tsp, _ := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, true, "")
+				sp, tsp, _ := storeTestServer(t, Config{}, dir, true, "")
 				post(t, tsp.URL+"/v1/plan", searchPlanBody)
 				sp.fills.Wait()
 			}
-			s, ts, reg := storeTestServer(t, Config{
-				RequestTimeout:  5 * time.Second,
-				WatchdogTimeout: sc.watchdog,
-			}, dir, true, sc.spec)
+			s, ts, reg := storeTestServer(t, Config{RequestTimeout: 5 * time.Second}, dir, true, sc.spec)
 
 			// Drive the spec through the faulted stack repeatedly. Whatever
 			// the injected fault does underneath, the answer on the wire must
@@ -223,7 +221,7 @@ func TestStoreChaosSchedules(t *testing.T) {
 			// bytes under a live name), and the working set re-commits: a
 			// faulted fill was dropped, so the re-search after restart is the
 			// retry that lands it durably.
-			s2, ts2, reg2 := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, true, "")
+			s2, ts2, reg2 := storeTestServer(t, Config{}, dir, true, "")
 			if got := reg2.Counter("store.quarantined").Value(); got != 0 {
 				t.Fatalf("%d committed records were corrupt after %s — torn writes reached live names", got, sc.spec)
 			}
@@ -254,7 +252,7 @@ func TestStoreChaosSchedules(t *testing.T) {
 
 // Satellite: the memory cache's occupancy gauge and eviction counter.
 func TestCacheSizeGaugeAndEvictionCounter(t *testing.T) {
-	_, ts, reg := newTestServer(t, Config{CacheEntries: 2, WatchdogTimeout: -1})
+	_, ts, reg := newTestServer(t, Config{CacheEntries: 2})
 	bodies := []string{
 		`{"arch":"edge","model":"bert","seq_len":1024,"system":"unfused"}`,
 		`{"arch":"edge","model":"bert","seq_len":2048,"system":"unfused"}`,
@@ -283,7 +281,7 @@ func TestCacheSizeGaugeAndEvictionCounter(t *testing.T) {
 // function. MaxQueue 8: tier 0 holds strictly below half the queue depth,
 // tier 1 from half up to (excluding) the full depth, tier 2 at and past it.
 func TestDegradeTierBoundaries(t *testing.T) {
-	s, _, _ := newTestServer(t, Config{MaxQueue: 8, WatchdogTimeout: -1})
+	s, _, _ := newTestServer(t, Config{MaxQueue: 8})
 	for _, tc := range []struct {
 		queued int64
 		tier   int
@@ -315,8 +313,7 @@ func TestLadderAndShedBoundariesEndToEnd(t *testing.T) {
 		MaxQueue:      8,
 		// Long enough for edge 1's real (heuristic) evaluation even under
 		// -race; edge 2's queued-past-deadline arrival rides it into a 504.
-		RequestTimeout:  2 * time.Second,
-		WatchdogTimeout: -1,
+		RequestTimeout: 2 * time.Second,
 	})
 	degradedOnWire := int64(0)
 

@@ -58,7 +58,7 @@ func TestTraceChaosDiskLatencyAttribution(t *testing.T) {
 	dir := t.TempDir()
 
 	// Warm the disk tier: one searched plan, fill awaited.
-	sA, tsA, _ := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, true, "")
+	sA, tsA, _ := storeTestServer(t, Config{}, dir, true, "")
 	resp, data := post(t, tsA.URL+"/v1/plan", searchPlanBody)
 	if _, source := planSource(t, resp, data); source != sourceSearch {
 		t.Fatalf("warmup served from %q, want %q", source, sourceSearch)
@@ -69,8 +69,7 @@ func TestTraceChaosDiskLatencyAttribution(t *testing.T) {
 	// tracing on. The answer must come from disk and the trace must pin the
 	// delay on the store.read span.
 	cfg := Config{
-		WatchdogTimeout: -1,
-		Tracer:          obs.NewTracer(obs.TracerConfig{Seed: 1}),
+		Tracer: obs.NewTracer(obs.TracerConfig{Seed: 1}),
 	}
 	_, tsB, _ := storeTestServer(t, cfg, dir, true, "store.read=latency:150ms@limit=1")
 	resp, data = post(t, tsB.URL+"/v1/plan", searchPlanBody)
@@ -110,14 +109,13 @@ func TestTraceChaosDiskLatencyAttribution(t *testing.T) {
 func TestTraceChaosDiskErrorAttribution(t *testing.T) {
 	dir := t.TempDir()
 
-	sA, tsA, _ := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, true, "")
+	sA, tsA, _ := storeTestServer(t, Config{}, dir, true, "")
 	resp, data := post(t, tsA.URL+"/v1/plan", searchPlanBody)
 	planSource(t, resp, data)
 	sA.fills.Wait()
 
 	cfg := Config{
-		WatchdogTimeout: -1,
-		Tracer:          obs.NewTracer(obs.TracerConfig{Seed: 2}),
+		Tracer: obs.NewTracer(obs.TracerConfig{Seed: 2}),
 	}
 	_, tsB, _ := storeTestServer(t, cfg, dir, true, "store.read=error@limit=1")
 	resp, data = post(t, tsB.URL+"/v1/plan", searchPlanBody)

@@ -17,12 +17,12 @@ const (
 // the response is labelled warm-search, never a silent cold search.
 func TestNearMissServedByWarmSearch(t *testing.T) {
 	dir := t.TempDir()
-	sA, tsA, _ := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, true, "")
+	sA, tsA, _ := storeTestServer(t, Config{}, dir, true, "")
 	resp, data := post(t, tsA.URL+"/v1/plan", warmSeedBody)
 	planSource(t, resp, data)
 	sA.fills.Wait()
 
-	sB, tsB, regB := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, true, "")
+	sB, tsB, regB := storeTestServer(t, Config{}, dir, true, "")
 	resp, data = post(t, tsB.URL+"/v1/plan", warmNeighbourBody)
 	pr, source := planSource(t, resp, data)
 	if source != sourceWarm {
@@ -57,12 +57,12 @@ func TestNearMissServedByWarmSearch(t *testing.T) {
 // only fires on misses, so its counter stays at zero.
 func TestExactHitPrefersDiskOverWarm(t *testing.T) {
 	dir := t.TempDir()
-	sA, tsA, _ := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, true, "")
+	sA, tsA, _ := storeTestServer(t, Config{}, dir, true, "")
 	resp, data := post(t, tsA.URL+"/v1/plan", warmSeedBody)
 	planSource(t, resp, data)
 	sA.fills.Wait()
 
-	_, tsB, regB := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, true, "")
+	_, tsB, regB := storeTestServer(t, Config{}, dir, true, "")
 	resp, data = post(t, tsB.URL+"/v1/plan", warmSeedBody)
 	if _, source := planSource(t, resp, data); source != sourceDisk {
 		t.Fatalf("exact hit served from %q, want %q", source, sourceDisk)
@@ -76,7 +76,7 @@ func TestExactHitPrefersDiskOverWarm(t *testing.T) {
 // after a degraded evaluation the next near-miss request cold-searches.
 func TestDegradedNeverSeedsWarmSearch(t *testing.T) {
 	dir := t.TempDir()
-	s, ts, reg := storeTestServer(t, Config{MaxQueue: 8, WatchdogTimeout: -1}, dir, true, "")
+	s, ts, reg := storeTestServer(t, Config{MaxQueue: 8}, dir, true, "")
 
 	s.adm.queued.Store(8) // tier 2: heuristic only
 	resp, data := post(t, ts.URL+"/v1/plan", warmSeedBody)
@@ -103,7 +103,7 @@ func TestDegradedNeverSeedsWarmSearch(t *testing.T) {
 // serving path; the filled plans are immediately servable from memory.
 func TestWarmGridFillsSeqLenGaps(t *testing.T) {
 	dir := t.TempDir()
-	s, ts, reg := storeTestServer(t, Config{WatchdogTimeout: -1}, dir, true, "")
+	s, ts, reg := storeTestServer(t, Config{}, dir, true, "")
 	for _, body := range []string{warmSeedBody, warmFarBody} {
 		resp, data := post(t, ts.URL+"/v1/plan", body)
 		planSource(t, resp, data)
